@@ -4,10 +4,11 @@ import numpy as np
 from mobilabel import (
     InstanceLabel,
     LabelSet,
+    PreparedMask,
     bbox_of,
     connected_components,
+    iou,
     mask_area,
-    mask_iou,
     nms,
     rle_decode,
     rle_encode,
@@ -30,11 +31,14 @@ print("area:", mask_area(mask), "box:", bbox_of(mask))
 parts = connected_components(mask)
 print("components:", len(parts), "areas:", sorted(mask_area(p) for p in parts))
 
-# IoU of two shifted copies of the same rectangle
+# IoU of two shifted copies of the same rectangle; a prepared mask keeps
+# only the bitmap of its tight box, which is all the IoU kernel reads
 a = np.zeros((16, 16), dtype=bool)
 a[2:10, 2:10] = True
 b = np.roll(a, 4, axis=1)
-print("iou shifted by half:", mask_iou(a, b))
+pa, pb = PreparedMask(rle_encode(a)), PreparedMask(rle_encode(b))
+print("prepared box at", (pa.row, pa.col), "of shape", pa.bits.shape)
+print("iou shifted by half:", iou(pa, pb))
 
 # NMS keeps the best-scoring of heavily overlapping proposals
 base = np.zeros((24, 24), dtype=bool)

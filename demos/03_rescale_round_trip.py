@@ -9,9 +9,10 @@ import numpy as np
 from mobilabel import (
     InstanceLabel,
     LabelSet,
+    PreparedMask,
     invert_labels,
+    iou,
     make_transform,
-    mask_iou,
     transform_labels,
     transform_raster,
 )
@@ -42,7 +43,7 @@ back = invert_labels(shrunk, t)
 for orig, rec in zip(ls.instances, back.instances):
     print("id %d  box %s -> %s  iou %.3f" % (
         orig.instance_id, orig.box, rec.box,
-        mask_iou(orig.mask_array(), rec.mask_array())))
+        iou(PreparedMask(orig.mask), PreparedMask(rec.mask))))
 
 # anything leaking into the padding is refused on the way back
 bad = np.zeros((H, W), dtype=bool)

@@ -31,14 +31,15 @@ from .initlabel import (
 from .io import DatasetLayout
 from .maskcore import (
     BBox,
+    PreparedMask,
     Rle,
     bbox_of,
     box_iou,
     connected_components,
     coverage,
+    intersection,
+    iou,
     mask_area,
-    mask_iou,
-    mask_union,
     rle_decode,
     rle_encode,
 )
@@ -47,8 +48,6 @@ from .metrics import (
     EvalConfig,
     EvalReport,
     attribute_split_ar,
-    average_precision,
-    average_recall,
     evaluate,
     match_instances,
     size_bucket,
@@ -57,7 +56,6 @@ from .rescale import (
     ScaleTransform,
     invert_labels,
     make_transform,
-    sample_jitter,
     transform_labels,
     transform_raster,
 )
@@ -86,15 +84,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AggParams", "BBox", "COCO_THRESHOLDS", "CameraIntrinsics", "DatasetLayout",
     "DbscanParams", "DetectorExchange", "DetectorNoise", "EvalConfig", "EvalReport",
-    "InstanceLabel", "LabelSet", "PixelPoint3", "Rle", "RoundConfig", "STAGES",
-    "ScaleTransform", "SceneSpec", "attribute_split_ar", "average_precision",
-    "average_recall", "bbox_of", "binarize_motion", "box_iou", "build_round",
-    "connected_components", "contour_partition", "coverage", "dbscan_partition",
-    "default_config_snapshot", "default_stages", "evaluate", "generate_scene",
-    "gt_overlap_filter", "invert_labels", "make_initial_labels", "make_transform",
-    "mask_agg", "mask_area", "mask_iou", "mask_union", "match_instances",
-    "mock_detector", "nms", "occlusion_fixture", "project", "remove_larger_overlapping",
-    "remove_smaller_overlapping", "rle_decode", "rle_encode", "run_pipeline",
-    "sample_jitter", "scene_intrinsics", "size_bucket", "threshold_filter",
+    "InstanceLabel", "LabelSet", "PixelPoint3", "PreparedMask", "Rle", "RoundConfig",
+    "STAGES", "ScaleTransform", "SceneSpec", "attribute_split_ar", "bbox_of",
+    "binarize_motion", "box_iou", "build_round", "connected_components",
+    "contour_partition", "coverage", "dbscan_partition", "default_config_snapshot",
+    "default_stages", "evaluate", "generate_scene", "gt_overlap_filter", "intersection",
+    "invert_labels", "iou", "make_initial_labels", "make_transform", "mask_agg",
+    "mask_area", "match_instances", "mock_detector", "nms", "occlusion_fixture",
+    "project", "remove_larger_overlapping", "remove_smaller_overlapping", "rle_decode",
+    "rle_encode", "run_pipeline", "scene_intrinsics", "size_bucket", "threshold_filter",
     "transform_labels", "transform_raster", "unproject",
 ]

@@ -7,18 +7,18 @@ covered by several small masks is treated as a group and replaced by
 them, while a large mask overlapping a single well-matched small mask
 keeps whichever scores higher. Plain NMS is provided as the baseline.
 
-Aggregation selects among input instances; it never edits a mask.
+Aggregation selects among input instances; it never edits a mask. Every
+overlap is measured with the :mod:`~mobilabel.maskcore` kernel on masks
+prepared once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DimensionMismatch
 from .initlabel import InstanceLabel, LabelSet
-from .maskcore import rle_decode
+from .maskcore import PreparedMask, coverage, intersection, iou
 
 __all__ = [
     "AggParams",
@@ -45,53 +45,19 @@ class AggParams:
 
 
 class _Prepared:
-    """Instance with its decoded mask, tight pixel bounds, and area."""
+    """Instance with its source set (0 large, 1 small) and prepared mask."""
 
-    __slots__ = ("inst", "mask", "area", "r0", "r1", "c0", "c1", "source")
+    __slots__ = ("inst", "source", "mask")
 
     def __init__(self, inst: InstanceLabel, source: int):
         self.inst = inst
         self.source = source
-        self.mask = rle_decode(inst.mask)
-        rows, cols = np.nonzero(self.mask)
-        self.area = rows.size
-        if self.area:
-            self.r0, self.r1 = int(rows.min()), int(rows.max())
-            self.c0, self.c1 = int(cols.min()), int(cols.max())
-
-    def intersection(self, other: "_Prepared") -> int:
-        r0 = max(self.r0, other.r0)
-        r1 = min(self.r1, other.r1)
-        c0 = max(self.c0, other.c0)
-        c1 = min(self.c1, other.c1)
-        if r0 > r1 or c0 > c1:
-            return 0
-        window = self.mask[r0: r1 + 1, c0: c1 + 1] & other.mask[r0: r1 + 1, c0: c1 + 1]
-        return int(np.count_nonzero(window))
+        self.mask = PreparedMask(inst.mask)
 
 
 def _prepare(labels: LabelSet, source: int) -> list[_Prepared]:
     # empty masks carry no evidence and would poison coverage fractions
-    return [p for p in (_Prepared(i, source) for i in labels.instances) if p.area]
-
-
-def _coverage(refs: list[_Prepared], targ: _Prepared) -> float:
-    """Fraction of targ covered by the union of refs."""
-    hits = [p for p in refs if p.intersection(targ) > 0]
-    if not hits:
-        return 0.0
-    if len(hits) == 1:
-        return hits[0].intersection(targ) / targ.area
-    union = np.zeros_like(targ.mask)
-    for p in hits:
-        union |= p.mask
-    return int(np.count_nonzero(union & targ.mask)) / targ.area
-
-
-def _iou(a: _Prepared, b: _Prepared) -> float:
-    inter = a.intersection(b)
-    union = a.area + b.area - inter
-    return inter / union if union else 0.0
+    return [p for p in (_Prepared(i, source) for i in labels.instances) if p.mask.area]
 
 
 def _canonical(prepared: list[_Prepared]) -> list[_Prepared]:
@@ -112,14 +78,14 @@ def _emit(frame: LabelSet, kept: list[_Prepared], reassign: bool) -> LabelSet:
 def _filter_smaller(prepared: list[_Prepared], filt_frac: float) -> list[_Prepared]:
     """Drop instances mostly inside a strictly larger single instance."""
     return [a for a in prepared if not any(
-        b.area > a.area and b.intersection(a) / a.area > filt_frac
+        b.mask.area > a.mask.area and intersection(b.mask, a.mask) / a.mask.area > filt_frac
         for b in prepared if b is not a)]
 
 
 def _filter_larger(prepared: list[_Prepared], filt_frac: float) -> list[_Prepared]:
     """Drop instances that act as containers of a strictly smaller one."""
     return [a for a in prepared if not any(
-        b.area < a.area and a.intersection(b) / b.area > filt_frac
+        b.mask.area < a.mask.area and intersection(a.mask, b.mask) / b.mask.area > filt_frac
         for b in prepared if b is not a)]
 
 
@@ -163,23 +129,24 @@ def mask_agg(ml: LabelSet, ms: LabelSet, p: AggParams) -> LabelSet:
             agg.append(q)
 
     for m in large:
-        overlap = [s for s in small if s.intersection(m) > 0]
+        overlap = [s for s in small if intersection(s.mask, m.mask) > 0]
         if not overlap:
             continue  # picked up below iff nothing in MS ever touches it
-        if len(overlap) == 1 and _iou(overlap[0], m) > p.match_thrd:
+        if len(overlap) == 1 and iou(overlap[0].mask, m.mask) > p.match_thrd:
             s = overlap[0]
             add(s if s.inst.score > m.inst.score else m)
-        elif _coverage(overlap, m) > p.cover_frac:
+        elif coverage([s.mask for s in overlap], m.mask) > p.cover_frac:
             for s in overlap:
                 add(s)
         else:
             add(m)
 
+    small_masks, large_masks = [s.mask for s in small], [m.mask for m in large]
     for m in large:
-        if _coverage(small, m) == 0.0:
+        if coverage(small_masks, m.mask) == 0.0:
             add(m)
     for s in small:
-        if _coverage(large, s) == 0.0:
+        if coverage(large_masks, s.mask) == 0.0:
             add(s)
 
     return _emit(ml, _canonical(agg), reassign=True)
@@ -194,6 +161,6 @@ def nms(proposals: LabelSet, iou_thrd: float) -> LabelSet:
     ordered = _canonical(_prepare(proposals, 0))
     kept: list[_Prepared] = []
     for cand in ordered:
-        if all(_iou(cand, k) <= iou_thrd for k in kept):
+        if all(iou(cand.mask, k.mask) <= iou_thrd for k in kept):
             kept.append(cand)
     return _emit(proposals, kept, reassign=False)

@@ -10,7 +10,9 @@ One binary, one subcommand per pipeline step:
   eval         class-agnostic recall/precision report
   pipeline     run the self-training rounds against an exchange dir
 
-Every hyperparameter is a flag with its stock default baked in; a
+Every hyperparameter is a flag whose stock default is read from the
+code that owns it (DbscanParams, AggParams, default_stages and the
+function signatures), so the CLI cannot drift from the library; a
 --config file (flat JSON object of flag names) supplies defaults, and
 explicit flags win over it.  Exit codes: 0 success, 1 internal error,
 2 usage or contract violation, 3 missing inputs.  All outputs are
@@ -18,6 +20,7 @@ byte-deterministic and independent of --workers.
 """
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -47,7 +50,7 @@ from .io import (
 )
 from .metrics import COCO_THRESHOLDS, EvalConfig, evaluate
 from .rescale import invert_labels, make_transform, transform_labels, transform_raster
-from .rounds import RoundConfig, gt_overlap_filter, run_pipeline, threshold_filter
+from .rounds import RoundConfig, default_stages, gt_overlap_filter, run_pipeline, threshold_filter
 from .synthgen import DetectorNoise, SceneSpec, generate_scene, mock_detector, scene_intrinsics
 
 EXIT_OK = 0
@@ -374,7 +377,7 @@ def _make_mock(gt_dir: Path, noise: DetectorNoise, seed: int):
         if ls.frame_id not in table:
             raise MissingPredictions(ls.frame_id)
         gt = table[ls.frame_id]
-        if transform is None or transform.scale == 1.0:
+        if transform is None:
             base, tag, region = gt, 0, None
         else:
             base = transform_labels(gt, transform)
@@ -433,7 +436,13 @@ def _add_common(sp) -> None:
                     help="per-frame progress on stderr")
 
 
+def _default(fn, name: str):
+    return inspect.signature(fn).parameters[name].default
+
+
 def build_parser():
+    dbscan, agg = DbscanParams(), AggParams()
+    m2m, l2s, final = default_stages()
     parser = argparse.ArgumentParser(
         prog="mobilabel",
         description="Unsupervised mobile-object label pipeline over depth and motion.")
@@ -467,15 +476,16 @@ def build_parser():
                          help="initial labels from depth + motion clustering")
     sp.add_argument("--data", help="(required) dataset directory")
     sp.add_argument("--out", help="(required) output labels directory")
-    sp.add_argument("--motion-threshold", type=float, default=0.1,
+    sp.add_argument("--motion-threshold", type=float,
+                    default=_default(make_initial_labels, "motion_threshold"),
                     help="motion probability cut, inclusive")
-    sp.add_argument("--eps", type=float, default=1.0,
+    sp.add_argument("--eps", type=float, default=dbscan.eps,
                     help="clustering radius, meters")
-    sp.add_argument("--min-pts", type=int, default=4,
+    sp.add_argument("--min-pts", type=int, default=dbscan.min_pts,
                     help="neighbors (incl. self) for a core point")
-    sp.add_argument("--pixel-window", type=int, default=10,
+    sp.add_argument("--pixel-window", type=int, default=dbscan.pixel_window,
                     help="pixel neighborhood width")
-    sp.add_argument("--min-area", type=int, default=16,
+    sp.add_argument("--min-area", type=int, default=_default(make_initial_labels, "min_area"),
                     help="drop clusters below this pixel area")
     _add_common(sp)
     sp.set_defaults(fn=cmd_init_labels)
@@ -500,11 +510,11 @@ def build_parser():
     sp.add_argument("--large", help="(required) large-scale labels directory")
     sp.add_argument("--small", help="(required) small-scale labels directory")
     sp.add_argument("--out", help="(required) output labels directory")
-    sp.add_argument("--match-thrd", type=float, default=0.5,
+    sp.add_argument("--match-thrd", type=float, default=agg.match_thrd,
                     help="IoU above which two masks count as the same object")
-    sp.add_argument("--filt-frac", type=float, default=0.75,
+    sp.add_argument("--filt-frac", type=float, default=agg.filt_frac,
                     help="coverage above which pre-filters drop a mask")
-    sp.add_argument("--cover-frac", type=float, default=0.5,
+    sp.add_argument("--cover-frac", type=float, default=agg.cover_frac,
                     help="coverage above which parts replace a large mask")
     sp.add_argument("--nms", action="store_true",
                     help="greedy suppression baseline instead of mask aggregation")
@@ -523,7 +533,7 @@ def build_parser():
     group.add_argument("--gt-overlap", action="store_true",
                        help="keep instances overlapping ground truth (needs --gt)")
     sp.add_argument("--gt", default=None, help="ground-truth labels directory")
-    sp.add_argument("--min-iou", type=float, default=0.1,
+    sp.add_argument("--min-iou", type=float, default=_default(gt_overlap_filter, "min_iou"),
                     help="overlap cut for --gt-overlap, inclusive")
     _add_common(sp)
     sp.set_defaults(fn=cmd_filter)
@@ -548,21 +558,21 @@ def build_parser():
     sp.add_argument("--l0", help="(required) initial labels directory")
     sp.add_argument("--exchange", help="(required) detector exchange root")
     sp.add_argument("--out", help="(required) per-stage output directory")
-    sp.add_argument("--m2m-conf", type=float, default=0.5,
+    sp.add_argument("--m2m-conf", type=float, default=m2m.conf_threshold,
                     help="first-round confidence cut")
-    sp.add_argument("--l2s-confs", type=float, nargs=2, default=[0.9, 0.8],
+    sp.add_argument("--l2s-confs", type=float, nargs=2, default=list(l2s.conf_threshold),
                     metavar=("LARGE", "SMALL"), help="two-scale confidence cuts")
-    sp.add_argument("--l2s-scales", type=float, nargs=2, default=[1.0, 0.25],
+    sp.add_argument("--l2s-scales", type=float, nargs=2, default=list(l2s.scale),
                     metavar=("LARGE", "SMALL"), help="two-scale inference factors")
-    sp.add_argument("--jitter", type=float, nargs=2, default=[0.5, 1.0],
+    sp.add_argument("--jitter", type=float, nargs=2, default=list(m2m.scale),
                     metavar=("LO", "HI"), help="training scale jitter range")
-    sp.add_argument("--match-thrd", type=float, default=0.5)
-    sp.add_argument("--filt-frac", type=float, default=0.75)
-    sp.add_argument("--cover-frac", type=float, default=0.5)
-    sp.add_argument("--m2m-epochs", type=int, default=3,
+    sp.add_argument("--match-thrd", type=float, default=l2s.agg.match_thrd)
+    sp.add_argument("--filt-frac", type=float, default=l2s.agg.filt_frac)
+    sp.add_argument("--cover-frac", type=float, default=l2s.agg.cover_frac)
+    sp.add_argument("--m2m-epochs", type=int, default=m2m.epochs,
                     help="advisory epoch count for the first round")
-    sp.add_argument("--l2s-epochs", type=int, default=20)
-    sp.add_argument("--final-epochs", type=int, default=20)
+    sp.add_argument("--l2s-epochs", type=int, default=l2s.epochs)
+    sp.add_argument("--final-epochs", type=int, default=final.epochs)
     sp.add_argument("--mock-gt", default=None,
                     help="drive a built-in mock detector from these ground-truth "
                          "labels instead of reading external responses")

@@ -132,9 +132,6 @@ class LabelSet:
                     f"frame is {self.height}x{self.width}"
                 )
 
-    def masks(self) -> list[np.ndarray]:
-        return [inst.mask_array() for inst in self.instances]
-
 
 def binarize_motion(motion: np.ndarray, threshold: float) -> np.ndarray:
     """Foreground where motion probability >= threshold (inclusive)."""

@@ -49,6 +49,9 @@ __all__ = [
 
 _DEPTH_MAGIC = b"DPF1"
 
+# Largest label frame accepted, in pixels: 27 Waymo-sized (1280x1920) frames.
+MAX_LABEL_PIXELS = 1 << 26
+
 
 def atomic_write_bytes(path, data: bytes) -> None:
     """Write via a sibling temp file and rename, so readers never see a
@@ -243,6 +246,8 @@ def read_labels(path, box_tol: float | None = None) -> LabelSet:
     width = _want(doc, "width", "int", "$")
     if height < 1 or width < 1:
         raise SchemaViolation("$.height", f"frame dimensions must be positive, got {height}x{width}")
+    if height * width > MAX_LABEL_PIXELS:
+        raise SchemaViolation("$.height", f"frame {height}x{width} exceeds {MAX_LABEL_PIXELS} pixels")
     raw_instances = _want(doc, "instances", "list", "$")
     instances = []
     seen_ids = set()

@@ -1,8 +1,10 @@
 """Binary-mask primitives: RLE codec, IoU, coverage, components, boxes.
 
 A binary mask is a 2D ``numpy`` array of ``bool`` with shape (height,
-width), row-major in memory. All set operations in the package reduce to
-the functions in this module.
+width). Stored masks are :class:`Rle`. For set operations a mask is
+decoded once into a :class:`PreparedMask`, its tight-box bitmap, and
+every mask IoU and coverage in the package is :func:`intersection`,
+:func:`iou` or :func:`coverage` over prepared masks.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ __all__ = [
     "rle_encode",
     "rle_decode",
     "mask_area",
-    "mask_union",
-    "mask_iou",
+    "PreparedMask",
+    "intersection",
+    "iou",
     "box_iou",
     "coverage",
     "connected_components",
@@ -71,9 +74,12 @@ def _check_mask(mask: np.ndarray) -> np.ndarray:
     return mask.astype(bool, copy=False)
 
 
-def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"mask shapes differ: {a.shape} vs {b.shape}")
+def _check_counts(rle: Rle) -> None:
+    total = sum(rle.counts)
+    if total != rle.height * rle.width:
+        raise SumMismatch(
+            f"RLE counts sum to {total}, expected {rle.height * rle.width} for {rle.height}x{rle.width}"
+        )
 
 
 def rle_encode(mask: np.ndarray) -> Rle:
@@ -99,11 +105,7 @@ def rle_decode(rle: Rle) -> np.ndarray:
     Raises :class:`~mobilabel.errors.SumMismatch` when the counts do not
     sum to ``height * width``.
     """
-    total = sum(rle.counts)
-    if total != rle.height * rle.width:
-        raise SumMismatch(
-            f"RLE counts sum to {total}, expected {rle.height * rle.width} for {rle.height}x{rle.width}"
-        )
+    _check_counts(rle)
     values = np.arange(len(rle.counts), dtype=np.int64) % 2 == 1
     flat = np.repeat(values, np.asarray(rle.counts, dtype=np.int64))
     return flat.reshape((rle.width, rle.height)).T
@@ -112,36 +114,6 @@ def rle_decode(rle: Rle) -> np.ndarray:
 def mask_area(mask: np.ndarray) -> int:
     """Number of foreground pixels."""
     return int(np.count_nonzero(_check_mask(mask)))
-
-
-def mask_union(masks, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Union of a sequence of same-shaped masks.
-
-    ``shape`` is required when the sequence may be empty.
-    """
-    masks = list(masks)
-    if not masks:
-        if shape is None:
-            raise ValueError("shape is required for an empty mask sequence")
-        return np.zeros(shape, dtype=bool)
-    out = _check_mask(masks[0]).copy()
-    for m in masks[1:]:
-        m = _check_mask(m)
-        _check_same_shape(out, m)
-        out |= m
-    return out
-
-
-def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
-    """Intersection-over-union of two masks; 0.0 when both are empty."""
-    a = _check_mask(a)
-    b = _check_mask(b)
-    _check_same_shape(a, b)
-    inter = int(np.count_nonzero(a & b))
-    union = int(np.count_nonzero(a)) + int(np.count_nonzero(b)) - inter
-    if union == 0:
-        return 0.0
-    return inter / union
 
 
 def box_iou(a: BBox, b: BBox) -> float:
@@ -157,22 +129,95 @@ def box_iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
-def coverage(ref_masks, targ: np.ndarray) -> float:
-    """Fraction of ``targ`` covered by the union of ``ref_masks``.
+class PreparedMask:
+    """A mask decoded only inside its tight bounding box.
+
+    ``bits`` is the (rows, cols) bitmap of the box whose top-left pixel is
+    (``row``, ``col``) in the frame, ``area`` its foreground count and
+    ``shape`` the frame size. An empty mask has a 0x0 bitmap. Built
+    straight from the runs, so only a mask whose box spans the whole
+    frame allocates a frame-sized array.
+    """
+
+    __slots__ = ("bits", "row", "col", "area", "shape")
+
+    def __init__(self, rle: Rle):
+        _check_counts(rle)
+        h = rle.height
+        counts = np.asarray(rle.counts, dtype=np.int64)
+        ends = np.cumsum(counts)
+        fg = (np.arange(counts.size) % 2 == 1) & (counts > 0)
+        start, end = ends[fg] - counts[fg], ends[fg]  # column-major [start, end)
+        self.shape = (h, rle.width)
+        self.area = int(counts[1::2].sum())
+        if not self.area:
+            self.bits, self.row, self.col = np.zeros((0, 0), dtype=bool), 0, 0
+            return
+        # split every run at column boundaries into single-column segments
+        first, last = start // h, (end - 1) // h
+        n = last - first + 1
+        run = np.repeat(np.arange(n.size), n)
+        col = first[run] + np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        top = np.maximum(start[run] - col * h, 0)
+        bottom = np.minimum(end[run] - col * h, h)
+        self.row, self.col = int(top.min()), int(col[0])
+        rows, cols = int(bottom.max()) - self.row, int(col[-1]) - self.col + 1
+        # re-encode the segments as runs over the box, column-major
+        offset = (col - self.col) * rows - self.row
+        bounds = np.concatenate(([0], np.column_stack((offset + top, offset + bottom)).ravel(),
+                                 [rows * cols]))
+        values = np.arange(bounds.size - 1) % 2 == 1
+        self.bits = np.repeat(values, np.diff(bounds)).reshape((cols, rows)).T
+
+
+def _window(a: PreparedMask, b: PreparedMask):
+    """Frame window (r0, r1, c0, c1) where two boxes overlap, or None."""
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"mask shapes differ: {a.shape} vs {b.shape}")
+    r0, c0 = max(a.row, b.row), max(a.col, b.col)
+    r1 = min(a.row + a.bits.shape[0], b.row + b.bits.shape[0])
+    c1 = min(a.col + a.bits.shape[1], b.col + b.bits.shape[1])
+    if r0 >= r1 or c0 >= c1:
+        return None
+    return r0, r1, c0, c1
+
+
+def _view(bits: np.ndarray, row: int, col: int, win) -> np.ndarray:
+    """The part of a box bitmap anchored at (row, col) inside a frame window."""
+    r0, r1, c0, c1 = win
+    return bits[r0 - row: r1 - row, c0 - col: c1 - col]
+
+
+def intersection(a: PreparedMask, b: PreparedMask) -> int:
+    """Pixels in both masks, counted over the overlap of their boxes."""
+    win = _window(a, b)
+    if win is None:
+        return 0
+    return int(np.count_nonzero(_view(a.bits, a.row, a.col, win) & _view(b.bits, b.row, b.col, win)))
+
+
+def iou(a: PreparedMask, b: PreparedMask) -> float:
+    """Intersection-over-union of two masks; 0.0 when both are empty."""
+    inter = intersection(a, b)
+    union = a.area + b.area - inter
+    return inter / union if union else 0.0
+
+
+def coverage(refs, targ: PreparedMask) -> float:
+    """Fraction of ``targ`` covered by the union of the ``refs`` masks.
 
     Raises :class:`~mobilabel.errors.EmptyTarget` when the target has no
     foreground. An empty reference set covers nothing (0.0).
     """
-    targ = _check_mask(targ)
-    targ_area = int(np.count_nonzero(targ))
-    if targ_area == 0:
+    if targ.area == 0:
         raise EmptyTarget("coverage target mask is empty")
-    covered = np.zeros_like(targ)
-    for m in ref_masks:
-        m = _check_mask(m)
-        _check_same_shape(targ, m)
-        covered |= m & targ
-    return int(np.count_nonzero(covered)) / targ_area
+    covered = np.zeros_like(targ.bits)
+    for m in refs:
+        win = _window(m, targ)
+        if win is not None:
+            part = _view(covered, targ.row, targ.col, win)
+            part |= _view(m.bits, m.row, m.col, win)
+    return int(np.count_nonzero(covered & targ.bits)) / targ.area
 
 
 _STRUCT_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, FrameMismatch, MissingAttribute
 from .initlabel import LabelSet
-from .maskcore import box_iou, rle_decode
+from .maskcore import PreparedMask, box_iou, iou
 
 __all__ = [
     "EvalConfig",
@@ -34,8 +34,6 @@ __all__ = [
     "size_bucket",
     "match_instances",
     "evaluate",
-    "average_recall",
-    "average_precision",
     "attribute_split_ar",
     "COCO_THRESHOLDS",
 ]
@@ -98,22 +96,17 @@ def _pred_order(labels: LabelSet) -> list:
 
 
 def _iou_matrix(preds, gts, mode: str) -> np.ndarray:
-    iou = np.zeros((len(preds), len(gts)))
     if mode == "box":
-        for i, p in enumerate(preds):
-            for j, g in enumerate(gts):
-                iou[i, j] = box_iou(p.box, g.box)
-        return iou
-    pm = [rle_decode(p.mask) for p in preds]
-    gm = [rle_decode(g.mask) for g in gts]
-    p_area = [int(m.sum()) for m in pm]
-    g_area = [int(m.sum()) for m in gm]
-    for i, a in enumerate(pm):
-        for j, b in enumerate(gm):
-            inter = int(np.count_nonzero(a & b))
-            union = p_area[i] + g_area[j] - inter
-            iou[i, j] = inter / union if union else 0.0
-    return iou
+        region, pair_iou = (lambda inst: inst.box), box_iou
+    else:
+        region, pair_iou = (lambda inst: PreparedMask(inst.mask)), iou
+    gt_regions = [region(g) for g in gts]
+    out = np.zeros((len(preds), len(gts)))
+    for i, p in enumerate(preds):
+        a = region(p)
+        for j, b in enumerate(gt_regions):
+            out[i, j] = pair_iou(a, b)
+    return out
 
 
 def _greedy(iou: np.ndarray, gts, thr: float) -> dict[int, int]:
@@ -297,16 +290,6 @@ def evaluate(preds: list[LabelSet], gt: list[LabelSet], cfg: EvalConfig = EvalCo
         report.ar_by_attribute = {a: float(np.mean(ar_attr_t[a])) for a in attr_names}
         report.gt_by_attribute = gt_by_attr
     return report
-
-
-def average_recall(preds: list[LabelSet], gt: list[LabelSet], cfg: EvalConfig = EvalConfig()) -> EvalReport:
-    """Alias of :func:`evaluate` kept for symmetry; AR fields are primary."""
-    return evaluate(preds, gt, cfg)
-
-
-def average_precision(preds: list[LabelSet], gt: list[LabelSet], cfg: EvalConfig = EvalConfig()) -> EvalReport:
-    """Alias of :func:`evaluate` kept for symmetry; AP fields are primary."""
-    return evaluate(preds, gt, cfg)
 
 
 def attribute_split_ar(preds: list[LabelSet], gt: list[LabelSet],

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InstanceInPadding
 from .initlabel import InstanceLabel, LabelSet
-from .maskcore import BBox, bbox_of, rle_decode, rle_encode
+from .maskcore import BBox, PreparedMask, rle_decode, rle_encode
 
 __all__ = [
     "ScaleTransform",
@@ -25,7 +25,6 @@ __all__ = [
     "transform_raster",
     "transform_labels",
     "invert_labels",
-    "sample_jitter",
 ]
 
 
@@ -145,11 +144,11 @@ def invert_labels(labels: LabelSet, t: ScaleTransform) -> LabelSet:
         return LabelSet(labels.frame_id, labels.height, labels.width, list(labels.instances))
     out = []
     for inst in labels.instances:
-        mask = rle_decode(inst.mask)
-        if not mask.any():
+        fg = PreparedMask(inst.mask)
+        if not fg.area:
             continue
-        fg = bbox_of(mask)
-        if fg.x + fg.w > t.content_width or fg.y + fg.h > t.content_height:
+        crop = fg.bits
+        if fg.col + crop.shape[1] > t.content_width or fg.row + crop.shape[0] > t.content_height:
             raise InstanceInPadding(
                 f"instance {inst.instance_id} extends into the padding of frame {labels.frame_id!r}"
             )
@@ -159,7 +158,6 @@ def invert_labels(labels: LabelSet, t: ScaleTransform) -> LabelSet:
         c0 = int(round(box.x))
         nrows = max(1, int(round(box.h)))
         ncols = max(1, int(round(box.w)))
-        crop = mask[int(fg.y): int(fg.y + fg.h), int(fg.x): int(fg.x + fg.w)]
         big = np.zeros((t.orig_height, t.orig_width), dtype=bool)
         rr0, cc0 = max(r0, 0), max(c0, 0)
         rr1, cc1 = min(r0 + nrows, t.orig_height), min(c0 + ncols, t.orig_width)
@@ -170,12 +168,3 @@ def invert_labels(labels: LabelSet, t: ScaleTransform) -> LabelSet:
             continue
         out.append(replace(inst, mask=rle_encode(big), box=box))
     return LabelSet(labels.frame_id, labels.height, labels.width, out)
-
-
-def sample_jitter(lo: float, hi: float, rng: np.random.Generator) -> float:
-    """Uniform scale factor in [lo, hi] from the supplied generator."""
-    if not (0 < lo <= hi <= 1):
-        raise ValueError(f"jitter range must satisfy 0 < lo <= hi <= 1, got [{lo}, {hi}]")
-    if lo == hi:
-        return float(lo)
-    return float(rng.uniform(lo, hi))

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .initlabel import LabelSet, make_initial_labels
 from .io import _dump_json, _load_json, atomic_write_bytes, read_labels, read_transform, write_labels, write_transform
-from .maskcore import mask_iou
+from .maskcore import PreparedMask, iou
 from .rescale import ScaleTransform, make_transform, invert_labels
 
 STAGES = ("moving2mobile", "large2small", "final")
@@ -202,11 +202,11 @@ def gt_overlap_filter(predictions: LabelSet, gt: LabelSet,
         raise DimensionMismatch(
             f"predictions {predictions.height}x{predictions.width} vs "
             f"ground truth {gt.height}x{gt.width}")
-    gt_masks = [g.mask_array() for g in gt.instances]
+    gt_masks = [PreparedMask(g.mask) for g in gt.instances]
     kept = []
     for inst in predictions.instances:
-        m = inst.mask_array()
-        if any(mask_iou(m, g) >= min_iou for g in gt_masks):
+        m = PreparedMask(inst.mask)
+        if any(iou(m, g) >= min_iou for g in gt_masks):
             kept.append(inst)
     return LabelSet(predictions.frame_id, predictions.height, predictions.width, kept)
 

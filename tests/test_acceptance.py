@@ -43,7 +43,7 @@ from mobilabel.io import (
     write_motion,
     write_transform,
 )
-from mobilabel.maskcore import mask_iou, rle_encode
+from mobilabel.maskcore import PreparedMask, iou, rle_encode
 from mobilabel.metrics import COCO_THRESHOLDS, EvalConfig, attribute_split_ar, evaluate
 from mobilabel.rescale import ScaleTransform, invert_labels, make_transform, transform_labels
 from mobilabel.rounds import default_config_snapshot, default_stages, run_pipeline
@@ -432,9 +432,9 @@ def test_rescale_round_trip_recovers_labels():
             total += 1
             if min(a.box.w, a.box.h) >= 20:
                 big += 1
-                iou = mask_iou(a.mask_array(), b.mask_array())
-                worst_iou = min(worst_iou, iou)
-                assert iou >= 0.9, f"mask IoU {iou:.3f} for a {a.box.w:.0f}x{a.box.h:.0f} blob"
+                v = iou(PreparedMask(a.mask), PreparedMask(b.mask))
+                worst_iou = min(worst_iou, v)
+                assert v >= 0.9, f"mask IoU {v:.3f} for a {a.box.w:.0f}x{a.box.h:.0f} blob"
 
     elapsed = time.perf_counter() - t0
     assert total == 500 and big >= 100

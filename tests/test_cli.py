@@ -1,11 +1,15 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from mobilabel.cli import main
+from mobilabel.aggregate import AggParams
+from mobilabel.cli import build_parser, main
+from mobilabel.initlabel import DbscanParams, make_initial_labels
 from mobilabel.io import read_labels
-from mobilabel.maskcore import mask_iou
+from mobilabel.maskcore import PreparedMask, iou
+from mobilabel.rounds import default_config_snapshot, default_stages, gt_overlap_filter
 
 
 def run(*argv):
@@ -40,6 +44,38 @@ def test_help_shows_stock_defaults(capsys):
     run("aggregate", "--help")
     out = capsys.readouterr().out
     assert "0.5" in out and "0.75" in out
+
+
+def test_flag_defaults_come_from_the_library():
+    parser, _ = build_parser()
+    snap = default_config_snapshot()
+    m2m, l2s, final = default_stages()
+
+    def signature_default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    a = parser.parse_args(["init-labels"])
+    assert a.motion_threshold == signature_default(make_initial_labels, "motion_threshold") \
+        == snap["motion_threshold"]
+    assert a.min_area == signature_default(make_initial_labels, "min_area")
+    assert (a.eps, a.min_pts, a.pixel_window) == (DbscanParams().eps, DbscanParams().min_pts,
+                                                  DbscanParams().pixel_window)
+
+    a = parser.parse_args(["aggregate"])
+    assert AggParams(a.match_thrd, a.filt_frac, a.cover_frac) == AggParams()
+
+    a = parser.parse_args(["filter", "--gt-overlap"])
+    assert a.min_iou == signature_default(gt_overlap_filter, "min_iou") \
+        == snap["gt_overlap_min_iou"]
+
+    a = parser.parse_args(["pipeline"])
+    assert a.m2m_conf == m2m.conf_threshold == snap["m2m_conf"]
+    assert tuple(a.l2s_confs) == l2s.conf_threshold == snap["l2s_confs"]
+    assert tuple(a.l2s_scales) == l2s.scale == snap["l2s_scales"]
+    assert tuple(a.jitter) == m2m.scale == final.scale == snap["scale_jitter"]
+    assert AggParams(a.match_thrd, a.filt_frac, a.cover_frac) == l2s.agg
+    assert (a.m2m_epochs, a.l2s_epochs, a.final_epochs) == (m2m.epochs, l2s.epochs,
+                                                            final.epochs)
 
 
 def test_unknown_flag_is_usage_error(tmp_path, capsys):
@@ -99,7 +135,7 @@ def test_rescale_round_trip(dataset, tmp_path):
         want = read_labels(dataset / "labels" / p.name)
         assert len(got.instances) == len(want.instances)
         for g, w in zip(got.instances, want.instances):
-            assert mask_iou(g.mask_array(), w.mask_array()) >= 0.5
+            assert iou(PreparedMask(g.mask), PreparedMask(w.mask)) >= 0.5
 
 
 def test_rescale_invert_rejects_rasters(dataset, tmp_path):
@@ -208,6 +244,19 @@ def test_pipeline_reruns_byte_identical(dataset, tmp_path):
                    "--mock-jitter", 1, "--mock-score-sigma", 0.05,
                    "--mock-dropout", 0.2, "--seed", 7, "--workers", 8) == 0
     assert tree_bytes(tmp_path / "x") == tree_bytes(tmp_path / "y")
+
+
+def test_mock_detector_streams_differ_per_branch(dataset, tmp_path):
+    # moving2mobile and the full-scale large2small call must draw their own noise
+    l0 = _l0(dataset, tmp_path)
+    ex = tmp_path / "exch"
+    assert run("pipeline", "--l0", l0, "--exchange", ex, "--out", tmp_path / "out",
+               "--mock-gt", dataset / "labels", "--mock-jitter", 2,
+               "--mock-dropout", 0.2, "--mock-fp", 2) == 0
+    m2m = tree_bytes(ex / "moving2mobile" / "response")
+    large = tree_bytes(ex / "large2small.large" / "response")
+    assert sorted(m2m) == sorted(large) and len(m2m) == 3
+    assert all(m2m[name] != large[name] for name in m2m)
 
 
 def test_pipeline_external_mode_needs_responses(dataset, tmp_path):

@@ -212,6 +212,12 @@ def test_labels_schema_violations_carry_field_paths(tmp_path):
     assert corrupted(lambda d: d["instances"][0]["attributes"].__setitem__("moving", "yes")) \
         == "$.instances[0].attributes.moving"
 
+    def huge_frame(d):  # consistent counts, but decoding would need about 10 GB
+        d.update(height=100_000, width=100_000)
+        for inst in d["instances"]:
+            inst["rle"] = {"size": [100_000, 100_000], "counts": [10**10]}
+    assert corrupted(huge_frame) == "$.height"
+
 
 def test_labels_invalid_json_is_typed(tmp_path):
     p = tmp_path / "l.json"

@@ -7,14 +7,15 @@ from hypothesis.extra.numpy import arrays
 from mobilabel.errors import DimensionMismatch, EmptyMask, EmptyTarget, SumMismatch
 from mobilabel.maskcore import (
     BBox,
+    PreparedMask,
     Rle,
     bbox_of,
     box_iou,
     connected_components,
     coverage,
+    intersection,
+    iou,
     mask_area,
-    mask_iou,
-    mask_union,
     rle_decode,
     rle_encode,
 )
@@ -70,40 +71,50 @@ def test_rle_counts_match_reference(m):
     assert list(rle_encode(m).counts) == rle_counts_ref(m)
 
 
-# -- IoU / coverage ----------------------------------------------------
+# -- prepared masks: IoU / coverage ------------------------------------
+
+def prep(m):
+    return PreparedMask(rle_encode(m))
+
+
+def paste(p):
+    full = np.zeros(p.shape, dtype=bool)
+    full[p.row: p.row + p.bits.shape[0], p.col: p.col + p.bits.shape[1]] = p.bits
+    return full
+
 
 def test_mask_iou_identical():
     m = mask_from_pixels(4, 4, [(1, 1), (2, 2)])
-    assert mask_iou(m, m) == 1.0
+    assert iou(prep(m), prep(m)) == 1.0
 
 
 def test_mask_iou_disjoint():
     a = mask_from_pixels(4, 4, [(0, 0)])
     b = mask_from_pixels(4, 4, [(3, 3)])
-    assert mask_iou(a, b) == 0.0
+    assert iou(prep(a), prep(b)) == 0.0
 
 
 def test_mask_iou_one_third():
     a = mask_from_pixels(3, 1, [(0, 0), (1, 0)])
     b = mask_from_pixels(3, 1, [(1, 0), (2, 0)])
-    assert mask_iou(a, b) == pytest.approx(1 / 3)
+    assert iou(prep(a), prep(b)) == pytest.approx(1 / 3)
 
 
 def test_mask_iou_both_empty():
     z = np.zeros((3, 3), dtype=bool)
-    assert mask_iou(z, z) == 0.0
+    assert iou(prep(z), prep(z)) == 0.0
 
 
 def test_mask_iou_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        mask_iou(np.zeros((2, 3), dtype=bool), np.zeros((3, 2), dtype=bool))
+        iou(prep(np.ones((2, 3), dtype=bool)), prep(np.ones((3, 2), dtype=bool)))
 
 
 @given(masks.flatmap(lambda a: st.tuples(st.just(a), arrays(bool, a.shape))))
 def test_mask_iou_matches_reference_and_symmetric(pair):
     a, b = pair
-    assert mask_iou(a, b) == pytest.approx(iou_ref(a, b))
-    assert mask_iou(a, b) == mask_iou(b, a)
+    assert iou(prep(a), prep(b)) == pytest.approx(iou_ref(a, b))
+    assert iou(prep(a), prep(b)) == iou(prep(b), prep(a))
 
 
 def test_box_iou_examples():
@@ -115,8 +126,8 @@ def test_box_iou_examples():
 def test_coverage_full_and_empty_refs():
     targ = mask_from_pixels(5, 5, [(2, 2), (2, 3)])
     ref = mask_from_pixels(5, 5, [(2, 2), (2, 3), (2, 4)])
-    assert coverage([ref], targ) == 1.0
-    assert coverage([], targ) == 0.0
+    assert coverage([prep(ref)], prep(targ)) == 1.0
+    assert coverage([], prep(targ)) == 0.0
 
 
 def test_coverage_seven_of_ten():
@@ -128,12 +139,12 @@ def test_coverage_seven_of_ten():
     r2 = np.zeros((5, 5), dtype=bool)
     r2[1, 0:3] = True
     r2[4, :] = True  # outside targ, must not count
-    assert coverage([r1, r2], targ) == pytest.approx(0.7)
+    assert coverage([prep(r1), prep(r2)], prep(targ)) == pytest.approx(0.7)
 
 
 def test_coverage_empty_target():
     with pytest.raises(EmptyTarget):
-        coverage([np.ones((2, 2), dtype=bool)], np.zeros((2, 2), dtype=bool))
+        coverage([prep(np.ones((2, 2), dtype=bool))], prep(np.zeros((2, 2), dtype=bool)))
 
 
 @given(masks.flatmap(lambda a: st.tuples(st.just(a), arrays(bool, a.shape), arrays(bool, a.shape))))
@@ -141,12 +152,57 @@ def test_coverage_matches_reference_and_monotone(trip):
     targ, r1, r2 = trip
     if not targ.any():
         return
-    c1 = coverage([r1], targ)
-    c2 = coverage([r1, r2], targ)
+    c1 = coverage([prep(r1)], prep(targ))
+    c2 = coverage([prep(r1), prep(r2)], prep(targ))
     assert c1 == pytest.approx(coverage_ref([r1], targ))
     assert c2 == pytest.approx(coverage_ref([r1, r2], targ))
     assert c2 >= c1
-    assert coverage([targ], targ) == 1.0
+    assert coverage([prep(targ)], prep(targ)) == 1.0
+
+
+def test_prepared_mask_rejects_bad_counts():
+    with pytest.raises(SumMismatch):
+        PreparedMask(Rle(2, 2, (3,)))
+
+
+def _edge_masks(h, w):
+    """Empty, single pixel, full frame, last row/column, a column-wrapping run."""
+    single = np.zeros((h, w), dtype=bool)
+    single[h // 2, w // 2] = True
+    last_row = np.zeros((h, w), dtype=bool)
+    last_row[-1, :] = True
+    last_col = np.zeros((h, w), dtype=bool)
+    last_col[:, -1] = True
+    scan = np.zeros(h * w, dtype=bool)  # column-major pixel scan
+    scan[h - 1: 2 * h + 1] = True  # one run from the bottom of column 0 into column 2
+    wrap = scan.reshape(w, h).T
+    return [np.zeros((h, w), dtype=bool), single, np.ones((h, w), dtype=bool),
+            last_row, last_col, wrap]
+
+
+small_frames = st.tuples(st.integers(1, 24), st.integers(1, 24))
+kernel_cases = small_frames.flatmap(lambda hw: st.tuples(
+    st.one_of(arrays(bool, hw), st.sampled_from(_edge_masks(*hw))),
+    st.one_of(arrays(bool, hw), st.sampled_from(_edge_masks(*hw))),
+    st.lists(st.one_of(arrays(bool, hw), st.sampled_from(_edge_masks(*hw))), max_size=3)))
+
+
+@given(kernel_cases)
+@settings(max_examples=200)
+def test_kernel_matches_pixel_oracles(case):
+    a, b, refs = case
+    pa, pb = prep(a), prep(b)
+    for m, p in ((a, pa), (b, pb)):
+        assert np.array_equal(paste(p), rle_decode(rle_encode(m)))
+        assert p.area == int(m.sum())
+        if p.area:
+            rows, cols = np.nonzero(m)  # the bitmap is the tight box
+            assert (p.row, p.col) == (rows.min(), cols.min())
+            assert p.bits.shape == (rows.max() - p.row + 1, cols.max() - p.col + 1)
+    assert intersection(pa, pb) == int((a & b).sum())
+    assert iou(pa, pb) == iou_ref(a, b)
+    if b.any():
+        assert coverage([prep(r) for r in refs + [a]], pb) == coverage_ref(refs + [a], b)
 
 
 # -- components --------------------------------------------------------
@@ -190,8 +246,7 @@ def test_components_match_reference(m, conn):
     for g, r in zip(got, ref):
         assert np.array_equal(g, r)
     if got:
-        union = mask_union(got)
-        assert np.array_equal(union, m)
+        assert np.array_equal(np.logical_or.reduce(got), m)
         total = sum(mask_area(g) for g in got)
         assert total == mask_area(m)  # pairwise disjoint
 

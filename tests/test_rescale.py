@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 from mobilabel.errors import DimensionMismatch, InstanceInPadding
 from mobilabel.initlabel import InstanceLabel, LabelSet
-from mobilabel.maskcore import BBox, box_iou, mask_iou, rle_decode
+from mobilabel.maskcore import BBox, PreparedMask, box_iou, iou, rle_encode
 from mobilabel.rescale import (
     invert_labels,
     make_transform,
-    sample_jitter,
     transform_labels,
     transform_raster,
 )
@@ -171,7 +170,7 @@ def test_round_trip_rectangles_exact():
         back = invert_labels(transform_labels(ls, t), t)
         (bi,) = back.instances
         assert bi.box == BBox(x, y, w, h)
-        assert mask_iou(rle_decode(bi.mask), m) == 1.0
+        assert iou(PreparedMask(bi.mask), PreparedMask(rle_encode(m))) == 1.0
         assert bi.score == 0.9 and bi.instance_id == i
 
 
@@ -191,7 +190,7 @@ def test_round_trip_ellipses_documented_bound():
         m = ((yy - cy) / a) ** 2 + ((xx - cx) / b) ** 2 <= 1.0
         ls = LabelSet("f", H, W, [InstanceLabel.from_mask(m, 1.0, 0)])
         back = invert_labels(transform_labels(ls, t), t)
-        assert mask_iou(rle_decode(back.instances[0].mask), m) >= 0.78
+        assert iou(PreparedMask(back.instances[0].mask), PreparedMask(rle_encode(m))) >= 0.78
 
 
 def test_box_iou_scale_invariant_at_quarter():
@@ -203,31 +202,3 @@ def test_box_iou_scale_invariant_at_quarter():
         sb = BBox(b.x * 0.25, b.y * 0.25, b.w * 0.25, b.h * 0.25)
         assert box_iou(sa, sb) == box_iou(a, b)  # exact: power-of-two scale
 
-
-# -- jitter --------------------------------------------------------------
-
-def test_jitter_degenerate_range():
-    assert sample_jitter(0.7, 0.7, np.random.default_rng(0)) == 0.7
-
-
-def test_jitter_mean():
-    rng = np.random.default_rng(123)
-    xs = [sample_jitter(0.5, 1.0, rng) for _ in range(100_000)]
-    assert abs(np.mean(xs) - 0.75) < 0.01
-    assert 0.5 <= min(xs) and max(xs) <= 1.0
-
-
-def test_jitter_deterministic():
-    a = [sample_jitter(0.5, 1.0, np.random.default_rng(7)) for _ in range(10)]
-    b = [sample_jitter(0.5, 1.0, np.random.default_rng(7)) for _ in range(10)]
-    assert a == b
-
-
-def test_jitter_rejects_bad_range():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_jitter(0.0, 0.5, rng)
-    with pytest.raises(ValueError):
-        sample_jitter(0.8, 0.6, rng)
-    with pytest.raises(ValueError):
-        sample_jitter(0.5, 1.2, rng)

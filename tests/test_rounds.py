@@ -9,7 +9,7 @@ from mobilabel.errors import (
     StageOrderViolation,
 )
 from mobilabel.initlabel import InstanceLabel, LabelSet
-from mobilabel.maskcore import mask_iou
+from mobilabel.maskcore import PreparedMask, iou
 from mobilabel.rescale import make_transform, transform_labels
 from mobilabel.rounds import (
     DetectorExchange,
@@ -208,9 +208,9 @@ def test_l2s_recovers_small_objects(tmp_path):
     ex_l.write_response(l1)                      # large scale sees the large object
     ex_s.write_response(transform_labels(gt, t_small))  # small scale sees everything
     out = build_round(cfg, [l1], ex_l, ex_s)[0]
-    best = max(mask_iou(i.mask_array(), small.mask_array()) for i in out.instances)
+    best = max(iou(PreparedMask(i.mask), PreparedMask(small.mask)) for i in out.instances)
     assert best >= 0.5
-    assert any(mask_iou(i.mask_array(), big.mask_array()) > 0.99 for i in out.instances)
+    assert any(iou(PreparedMask(i.mask), PreparedMask(big.mask)) > 0.99 for i in out.instances)
 
 
 def test_l2s_low_scores_are_dropped(tmp_path):
@@ -276,13 +276,13 @@ def test_pipeline_end_to_end_with_mock_detector(tmp_path):
         static_large = [i for i in gt.instances
                         if not i.attributes["moving"] and i.area >= 1024]
         for want in static_large:
-            assert any(mask_iou(i.mask_array(), want.mask_array()) > 0.99
+            assert any(iou(PreparedMask(i.mask), PreparedMask(want.mask)) > 0.99
                        for i in after.instances)
     # the two-scale round recovers every object at loose IoU
     for fid, l2 in zip(sorted(gt_by_frame), res["large2small"]):
         gt = gt_by_frame[fid]
         for want in gt.instances:
-            assert any(mask_iou(i.mask_array(), want.mask_array()) >= 0.5
+            assert any(iou(PreparedMask(i.mask), PreparedMask(want.mask)) >= 0.5
                        for i in l2.instances)
     assert res["final"] == res["large2small"]
     assert (tmp_path / "run" / "final" / "MANIFEST.json").exists()
