@@ -20,9 +20,10 @@ byte-deterministic and independent of --workers.
 """
 
 import argparse
+import dataclasses
+import functools
 import inspect
 import json
-import os
 import sys
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -61,22 +62,17 @@ EXIT_MISSING = 3
 
 # -- plumbing ---------------------------------------------------------------------
 
-def _resolve_workers(args) -> int:
-    w = args.workers
-    if w is None:
-        w = int(os.environ.get("MOBILABEL_WORKERS", "1"))
-    if w < 1:
-        raise ValueError(f"workers must be at least 1, got {w}")
-    return w
-
-
-def _pmap(fn, tasks, workers: int) -> list:
-    """Run fn over tasks, results in task order regardless of workers."""
-    tasks = list(tasks)
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+def _each_frame(args, fn, frame_ids, **shared) -> list:
+    """fn(frame_id, **shared) for every frame, results in frame order; with
+    --workers above 1 the frames fan out over that many processes."""
+    if args.workers < 1:
+        raise ValueError(f"workers must be at least 1, got {args.workers}")
+    frame_ids = list(frame_ids)
+    call = functools.partial(fn, **shared)
+    if args.workers == 1 or len(frame_ids) <= 1:
+        return [call(fid) for fid in frame_ids]
+    with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        return list(pool.map(call, frame_ids))
 
 
 def _require(args, *names) -> None:
@@ -103,6 +99,13 @@ def _label_ids(dirpath: Path) -> list[str]:
     return sorted(p.stem for p in dirpath.glob("*.json"))
 
 
+def _frame_labels(dirpath: Path, fid: str) -> LabelSet:
+    path = dirpath / f"{fid}.json"
+    if not path.exists():
+        raise MissingPredictions(fid)
+    return read_labels(path)
+
+
 def _say(args, line: str) -> None:
     if args.verbose:
         print(line, file=sys.stderr)
@@ -110,9 +113,7 @@ def _say(args, line: str) -> None:
 
 # -- synth ------------------------------------------------------------------------
 
-def _synth_frame(task):
-    spec, index, root = task
-    layout = DatasetLayout(root)
+def _synth_frame(index, spec, layout):
     depth, motion, _, gt = generate_scene(spec, index)
     write_depth(layout.depth_path(gt.frame_id), depth)
     write_motion(layout.motion_path(gt.frame_id), motion)
@@ -132,8 +133,7 @@ def cmd_synth(args) -> int:
     layout = DatasetLayout(Path(args.out))
     layout.ensure_dirs()
     write_intrinsics(layout.intrinsics_path, scene_intrinsics(spec))
-    tasks = [(spec, i, str(layout.root)) for i in range(args.frames)]
-    results = _pmap(_synth_frame, tasks, _resolve_workers(args))
+    results = _each_frame(args, _synth_frame, range(args.frames), spec=spec, layout=layout)
     for fid, n in results:
         _say(args, f"frame {fid}: {n} instances")
     total = sum(n for _, n in results)
@@ -143,15 +143,13 @@ def cmd_synth(args) -> int:
 
 # -- init-labels --------------------------------------------------------------------
 
-def _init_frame(task):
-    root, fid, out, k, params, thr, min_area = task
-    layout = DatasetLayout(root)
-    depth = read_depth(layout.depth_path(fid))
-    motion = read_motion(layout.motion_path(fid))
-    ls = make_initial_labels(depth, motion, k, params, motion_threshold=thr,
-                             min_area=min_area, frame_id=fid)
-    write_labels(Path(out) / f"{fid}.json", ls)
-    return fid, len(ls.instances)
+def _init_frame(fid, layout, out, k, params, motion_threshold, min_area):
+    ls = make_initial_labels(read_depth(layout.depth_path(fid)),
+                             read_motion(layout.motion_path(fid)), k, params,
+                             motion_threshold=motion_threshold, min_area=min_area,
+                             frame_id=fid)
+    write_labels(out / f"{fid}.json", ls)
+    return len(ls.instances)
 
 
 def cmd_init_labels(args) -> int:
@@ -160,106 +158,89 @@ def cmd_init_labels(args) -> int:
     _need_dir(layout.depth_dir, "depth")
     _need_dir(layout.motion_dir, "motion")
     _need_file(layout.intrinsics_path, "intrinsics file")
-    layout.validate()
+    ids = layout.validate()
     k = read_intrinsics(layout.intrinsics_path)
     params = DbscanParams(eps=args.eps, min_pts=args.min_pts,
                           pixel_window=args.pixel_window)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [(str(layout.root), fid, str(out), k, params,
-              args.motion_threshold, args.min_area) for fid in layout.frame_ids()]
-    results = _pmap(_init_frame, tasks, _resolve_workers(args))
-    for fid, n in results:
+    counts = _each_frame(args, _init_frame, ids, layout=layout, out=out, k=k, params=params,
+                         motion_threshold=args.motion_threshold, min_area=args.min_area)
+    for fid, n in zip(ids, counts):
         _say(args, f"frame {fid}: {n} instances")
-    total = sum(n for _, n in results)
-    print(f"init-labels: {len(results)} frames, {total} instances -> {out}")
+    print(f"init-labels: {len(ids)} frames, {sum(counts)} instances -> {out}")
     return EXIT_OK
 
 
 # -- rescale ----------------------------------------------------------------------
 
-def _rescale_frame(task):
-    (fid, labels_in, out_root, scale, invert, transforms_in,
-     depth_in, motion_in) = task
-    out_root = Path(out_root)
-    labels = read_labels(Path(labels_in) / f"{fid}.json")
-    if invert:
-        t = read_transform(Path(transforms_in) / f"{fid}.json")
-        mapped = invert_labels(labels, t)
-        write_labels(out_root / "labels" / f"{fid}.json", mapped)
-        return fid, len(mapped.instances)
+def _shrink_frame(fid, labels_in, out, scale, depth_in, motion_in):
+    labels = read_labels(labels_in / f"{fid}.json")
     t = make_transform(labels.height, labels.width, scale)
-    write_transform(out_root / "transforms" / f"{fid}.json", t)
+    write_transform(out / "transforms" / f"{fid}.json", t)
     shrunk = transform_labels(labels, t)
-    write_labels(out_root / "labels" / f"{fid}.json", shrunk)
+    write_labels(out / "labels" / f"{fid}.json", shrunk)
     if depth_in is not None:
-        depth = read_depth(Path(depth_in) / f"{fid}.dpf1")
-        write_depth(out_root / "depth" / f"{fid}.dpf1",
-                    transform_raster(depth, t, pad_value=1.0))
+        write_depth(out / "depth" / f"{fid}.dpf1",
+                    transform_raster(read_depth(depth_in / f"{fid}.dpf1"), t, pad_value=1.0))
     if motion_in is not None:
-        motion = read_motion(Path(motion_in) / f"{fid}.pgm")
-        write_motion(out_root / "motion" / f"{fid}.pgm",
-                     transform_raster(motion, t, pad_value=0.0))
-    return fid, len(shrunk.instances)
+        write_motion(out / "motion" / f"{fid}.pgm",
+                     transform_raster(read_motion(motion_in / f"{fid}.pgm"), t, pad_value=0.0))
+    return len(shrunk.instances)
+
+
+def _invert_frame(fid, labels_in, out, transforms_in):
+    labels = read_labels(labels_in / f"{fid}.json")
+    mapped = invert_labels(labels, read_transform(transforms_in / f"{fid}.json"))
+    write_labels(out / "labels" / f"{fid}.json", mapped)
+    return len(mapped.instances)
 
 
 def cmd_rescale(args) -> int:
     _require(args, "labels", "out")
     labels_in = _need_dir(args.labels, "labels")
-    if args.invert and (args.depth or args.motion):
-        raise ValueError("rasters cannot be inverted; drop --depth/--motion")
-    transforms_in = args.transforms
-    if args.invert:
-        transforms_in = _need_dir(transforms_in or labels_in.parent / "transforms",
-                                  "transforms")
-    if args.depth:
-        _need_dir(args.depth, "depth")
-    if args.motion:
-        _need_dir(args.motion, "motion")
     out = Path(args.out)
-    (out / "labels").mkdir(parents=True, exist_ok=True)
-    if not args.invert:
-        (out / "transforms").mkdir(parents=True, exist_ok=True)
-        if args.depth:
-            (out / "depth").mkdir(parents=True, exist_ok=True)
-        if args.motion:
-            (out / "motion").mkdir(parents=True, exist_ok=True)
-    tasks = [(fid, str(labels_in), str(out), args.scale, args.invert,
-              str(transforms_in) if transforms_in else None,
-              str(args.depth) if args.depth else None,
-              str(args.motion) if args.motion else None)
-             for fid in _label_ids(labels_in)]
-    results = _pmap(_rescale_frame, tasks, _resolve_workers(args))
-    total = sum(n for _, n in results)
-    mode = "invert" if args.invert else f"scale {args.scale}"
-    print(f"rescale: {mode}, {len(results)} frames, {total} instances -> {out}")
+    ids = _label_ids(labels_in)
+    if args.invert:
+        if args.depth or args.motion:
+            raise ValueError("rasters cannot be inverted; drop --depth/--motion")
+        transforms_in = _need_dir(args.transforms or labels_in.parent / "transforms",
+                                  "transforms")
+        (out / "labels").mkdir(parents=True, exist_ok=True)
+        counts = _each_frame(args, _invert_frame, ids, labels_in=labels_in, out=out,
+                             transforms_in=transforms_in)
+        mode = "invert"
+    else:
+        depth_in = _need_dir(args.depth, "depth") if args.depth else None
+        motion_in = _need_dir(args.motion, "motion") if args.motion else None
+        for sub, wanted in (("labels", True), ("transforms", True),
+                            ("depth", depth_in), ("motion", motion_in)):
+            if wanted:
+                (out / sub).mkdir(parents=True, exist_ok=True)
+        counts = _each_frame(args, _shrink_frame, ids, labels_in=labels_in, out=out,
+                             scale=args.scale, depth_in=depth_in, motion_in=motion_in)
+        mode = f"scale {args.scale}"
+    print(f"rescale: {mode}, {len(ids)} frames, {sum(counts)} instances -> {out}")
     return EXIT_OK
 
 
 # -- aggregate ----------------------------------------------------------------------
 
-def _pool_proposals(large: LabelSet, small: LabelSet) -> LabelSet:
+def _pooled_nms(large: LabelSet, small: LabelSet, iou_thrd: float) -> LabelSet:
+    """The NMS baseline over both scales' proposals, renumbered in pool order."""
     insts = []
     for inst in list(large.instances) + list(small.instances):
         insts.append(InstanceLabel(mask=inst.mask, box=inst.box, score=inst.score,
                                    instance_id=len(insts), attributes=inst.attributes))
-    return LabelSet(large.frame_id, large.height, large.width, insts)
+    return nms(LabelSet(large.frame_id, large.height, large.width, insts), iou_thrd)
 
 
-def _aggregate_frame(task):
-    fid, large_in, small_in, out, use_nms, nms_iou, match, filt, cover = task
-    small_path = Path(small_in) / f"{fid}.json"
-    if not small_path.exists():
-        raise MissingPredictions(fid)
-    large = read_labels(Path(large_in) / f"{fid}.json")
-    small = read_labels(small_path)
-    if use_nms:
-        merged = nms(_pool_proposals(large, small), nms_iou)
-    else:
-        merged = mask_agg(large, small, AggParams(match_thrd=match, filt_frac=filt,
-                                                  cover_frac=cover))
-    write_labels(Path(out) / f"{fid}.json", merged)
-    return fid, len(large.instances) + len(small.instances), len(merged.instances)
+def _aggregate_frame(fid, large_in, small_in, out, merge):
+    large = _frame_labels(large_in, fid)
+    small = _frame_labels(small_in, fid)
+    merged = merge(large, small)
+    write_labels(out / f"{fid}.json", merged)
+    return len(large.instances) + len(small.instances), len(merged.instances)
 
 
 def cmd_aggregate(args) -> int:
@@ -268,31 +249,30 @@ def cmd_aggregate(args) -> int:
     small_in = _need_dir(args.small, "small-scale labels")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [(fid, str(large_in), str(small_in), str(out), args.nms, args.nms_iou,
-              args.match_thrd, args.filt_frac, args.cover_frac)
-             for fid in _label_ids(large_in)]
-    results = _pmap(_aggregate_frame, tasks, _resolve_workers(args))
-    n_in = sum(a for _, a, _ in results)
-    n_out = sum(b for _, _, b in results)
-    how = f"nms {args.nms_iou}" if args.nms else "mask-agg"
-    print(f"aggregate: {how}, {len(results)} frames, {n_in} -> {n_out} instances -> {out}")
+    if args.nms:
+        merge = functools.partial(_pooled_nms, iou_thrd=args.nms_iou)
+        how = f"nms {args.nms_iou}"
+    else:
+        merge = functools.partial(mask_agg, p=AggParams(match_thrd=args.match_thrd,
+                                                        filt_frac=args.filt_frac,
+                                                        cover_frac=args.cover_frac))
+        how = "mask-agg"
+    ids = _label_ids(large_in)
+    results = _each_frame(args, _aggregate_frame, ids, large_in=large_in,
+                          small_in=small_in, out=out, merge=merge)
+    n_in = sum(a for a, _ in results)
+    n_out = sum(b for _, b in results)
+    print(f"aggregate: {how}, {len(ids)} frames, {n_in} -> {n_out} instances -> {out}")
     return EXIT_OK
 
 
 # -- filter -----------------------------------------------------------------------
 
-def _filter_frame(task):
-    fid, labels_in, out, conf, gt_in, min_iou = task
-    labels = read_labels(Path(labels_in) / f"{fid}.json")
-    if conf is not None:
-        kept = threshold_filter(labels, conf)
-    else:
-        gt_path = Path(gt_in) / f"{fid}.json"
-        if not gt_path.exists():
-            raise MissingPredictions(fid)
-        kept = gt_overlap_filter(labels, read_labels(gt_path), min_iou)
-    write_labels(Path(out) / f"{fid}.json", kept)
-    return fid, len(labels.instances), len(kept.instances)
+def _filter_frame(fid, labels_in, out, keep, gt_in):
+    labels = read_labels(labels_in / f"{fid}.json")
+    kept = keep(labels) if gt_in is None else keep(labels, _frame_labels(gt_in, fid))
+    write_labels(out / f"{fid}.json", kept)
+    return len(labels.instances), len(kept.instances)
 
 
 def cmd_filter(args) -> int:
@@ -304,33 +284,22 @@ def cmd_filter(args) -> int:
         _need_dir(args.gt, "ground-truth labels")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [(fid, str(labels_in), str(out), args.conf,
-              str(args.gt) if args.gt else None, args.min_iou)
-             for fid in _label_ids(labels_in)]
-    results = _pmap(_filter_frame, tasks, _resolve_workers(args))
-    n_in = sum(a for _, a, _ in results)
-    n_out = sum(b for _, _, b in results)
-    how = f"conf {args.conf}" if args.conf is not None else f"gt-overlap {args.min_iou}"
-    print(f"filter: {how}, {len(results)} frames, kept {n_out} of {n_in} -> {out}")
+    if args.conf is not None:
+        keep, gt_in = functools.partial(threshold_filter, conf=args.conf), None
+        how = f"conf {args.conf}"
+    else:
+        keep, gt_in = functools.partial(gt_overlap_filter, min_iou=args.min_iou), Path(args.gt)
+        how = f"gt-overlap {args.min_iou}"
+    ids = _label_ids(labels_in)
+    results = _each_frame(args, _filter_frame, ids, labels_in=labels_in, out=out,
+                          keep=keep, gt_in=gt_in)
+    n_in = sum(a for a, _ in results)
+    n_out = sum(b for _, b in results)
+    print(f"filter: {how}, {len(ids)} frames, kept {n_out} of {n_in} -> {out}")
     return EXIT_OK
 
 
 # -- eval -------------------------------------------------------------------------
-
-def _report_dict(r) -> dict:
-    d = {
-        "ar": r.ar, "ap": r.ap,
-        "ar_per_threshold": list(r.ar_per_threshold),
-        "ap_per_threshold": list(r.ap_per_threshold),
-        "ar_by_size": dict(r.ar_by_size), "ap_by_size": dict(r.ap_by_size),
-        "gt_by_size": dict(r.gt_by_size),
-        "n_gt": r.n_gt, "n_pred": r.n_pred,
-    }
-    if r.ar_by_attribute is not None:
-        d["ar_by_attribute"] = dict(r.ar_by_attribute)
-        d["gt_by_attribute"] = dict(r.gt_by_attribute)
-    return d
-
 
 def cmd_eval(args) -> int:
     _require(args, "pred", "gt")
@@ -339,10 +308,7 @@ def cmd_eval(args) -> int:
     gt_ids = _label_ids(gt_in)
     preds, gts = [], []
     for fid in gt_ids:
-        pred_path = pred_in / f"{fid}.json"
-        if not pred_path.exists():
-            raise MissingPredictions(fid)
-        preds.append(read_labels(pred_path))
+        preds.append(_frame_labels(pred_in, fid))
         gts.append(read_labels(gt_in / f"{fid}.json"))
     cfg = EvalConfig(iou_thresholds=tuple(args.iou_thresholds),
                      max_dets=args.max_dets, mode=args.mode)
@@ -350,7 +316,8 @@ def cmd_eval(args) -> int:
     if args.json:
         report_path = Path(args.json)
         report_path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_bytes(report_path, _dump_json(_report_dict(report)))
+        fields = {k: v for k, v in dataclasses.asdict(report).items() if v is not None}
+        atomic_write_bytes(report_path, _dump_json(fields))
     line = (f"eval: AR {report.ar:.4f} AP {report.ap:.4f}"
             f" (S {report.ar_by_size['S']:.4f}"
             f" M {report.ar_by_size['M']:.4f}"
@@ -429,8 +396,9 @@ def cmd_pipeline(args) -> int:
 def _add_common(sp) -> None:
     sp.add_argument("--config", default=None,
                     help="JSON file of flag defaults; explicit flags win")
-    sp.add_argument("--workers", type=int, default=None,
-                    help="frame-level worker processes (default: MOBILABEL_WORKERS or 1)")
+    sp.add_argument("--workers", type=int, default=1,
+                    help="worker processes over frames for synth, init-labels, rescale, "
+                         "aggregate and filter; eval and pipeline run in one process")
     sp.add_argument("--seed", type=int, default=0, help="random seed")
     sp.add_argument("-v", "--verbose", action="store_true",
                     help="per-frame progress on stderr")

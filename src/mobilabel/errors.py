@@ -2,6 +2,7 @@
 
 Every validation failure maps to one of these classes so callers (and the
 CLI exit-code logic) can distinguish malformed inputs from internal bugs.
+Each one pickles, so it reaches the CLI intact from a worker process.
 """
 
 
@@ -34,6 +35,9 @@ class NonPositiveDepth(MobilabelError):
         self.col = col
         self.value = value
 
+    def __reduce__(self):  # rebuild from the arguments, not the message
+        return type(self), (self.row, self.col, self.value)
+
 
 class InstanceInPadding(MobilabelError):
     """A transformed-space instance intersects the padded region."""
@@ -45,6 +49,9 @@ class MissingPredictions(MobilabelError):
     def __init__(self, frame_id):
         super().__init__(f"no prediction file for frame {frame_id!r}")
         self.frame_id = frame_id
+
+    def __reduce__(self):
+        return type(self), (self.frame_id,)
 
 
 class StageOrderViolation(MobilabelError):
@@ -89,6 +96,10 @@ class SchemaViolation(FormatError):
     def __init__(self, path, message):
         super().__init__(f"{path}: {message}")
         self.field_path = path
+        self._message = message
+
+    def __reduce__(self):
+        return type(self), (self.field_path, self._message)
 
 
 class RleSumMismatch(FormatError):

@@ -22,13 +22,14 @@ Stages, in fixed order:
 Exchange layout (one directory per detector run):
 
   request/<frame_id>.labels.json     training labels for this round
-  request/<frame_id>.transform.json  inference-scale geometry, if any
+  request/<frame_id>.transform.json  inference-scale geometry (large2small,
+                                     where the small-scale one is required)
   response/<frame_id>.pred.json      scored predictions per frame
   MANIFEST.json                      frame ids plus the stage config
 """
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .aggregate import AggParams, mask_agg
@@ -120,44 +121,22 @@ class RoundConfig:
                 raise ValueError("final stage takes no AggParams")
 
     def to_dict(self) -> dict:
-        d: dict = {"stage": self.stage, "epochs": self.epochs}
-        if self.conf_threshold is not None:
-            d["conf_threshold"] = (list(self.conf_threshold)
-                                   if isinstance(self.conf_threshold, tuple)
-                                   else self.conf_threshold)
-        if self.scale is not None:
-            d["scale"] = list(self.scale)
-        if self.agg is not None:
-            d["agg"] = {"match_thrd": self.agg.match_thrd,
-                        "filt_frac": self.agg.filt_frac,
-                        "cover_frac": self.agg.cover_frac}
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RoundConfig":
-        conf = d.get("conf_threshold")
-        if isinstance(conf, list):
-            conf = tuple(conf)
-        elif conf is not None:
-            conf = float(conf)
-        scale = tuple(d["scale"]) if "scale" in d else None
-        agg = None
-        if "agg" in d:
-            a = d["agg"]
-            agg = AggParams(match_thrd=a["match_thrd"], filt_frac=a["filt_frac"],
-                            cover_frac=a["cover_frac"])
-        return cls(stage=d["stage"], conf_threshold=conf, scale=scale,
-                   agg=agg, epochs=d.get("epochs"))
+        agg = AggParams(**d["agg"]) if "agg" in d else None
+        return cls(stage=d["stage"], conf_threshold=d.get("conf_threshold"),
+                   scale=d.get("scale"), agg=agg, epochs=d.get("epochs"))
 
 
 def default_stages() -> tuple[RoundConfig, RoundConfig, RoundConfig]:
     """The three stages with their stock settings."""
     return (
-        RoundConfig(stage="moving2mobile", conf_threshold=0.5, scale=(0.5, 1.0),
-                    epochs=3),
+        RoundConfig(stage="moving2mobile", conf_threshold=0.5, scale=(0.5, 1.0)),
         RoundConfig(stage="large2small", conf_threshold=(0.9, 0.8),
-                    scale=(1.0, 0.25), agg=AggParams(), epochs=20),
-        RoundConfig(stage="final", scale=(0.5, 1.0), epochs=20),
+                    scale=(1.0, 0.25), agg=AggParams()),
+        RoundConfig(stage="final", scale=(0.5, 1.0)),
     )
 
 
@@ -282,21 +261,13 @@ class DetectorExchange:
         return list(d["frame_ids"]), RoundConfig.from_dict(d["config"])
 
 
-def _with_transform(exchange: DetectorExchange, frame_id: str,
-                    labels: LabelSet, scale: float) -> ScaleTransform:
-    # Prefer the transform file the detector actually saw; fall back to
-    # recomputing the same geometry when the exchange predates it.
-    tpath = exchange.transform_path(frame_id)
-    if tpath.exists():
-        return read_transform(tpath)
-    return make_transform(labels.height, labels.width, scale)
-
-
-def _check_pred_dims(pred: LabelSet, current: LabelSet) -> None:
+def _response(exchange: DetectorExchange, current: LabelSet) -> LabelSet:
+    pred = exchange.read_response(current.frame_id)
     if (pred.height, pred.width) != (current.height, current.width):
         raise DimensionMismatch(
             f"frame {current.frame_id}: predictions {pred.height}x{pred.width} "
             f"vs labels {current.height}x{current.width}")
+    return pred
 
 
 def build_round(cfg: RoundConfig, current: list[LabelSet],
@@ -308,7 +279,8 @@ def build_round(cfg: RoundConfig, current: list[LabelSet],
     stage reads one response per frame and keeps high scorers.  The
     two-scale stage reads large-scale responses from `exchange` and
     small-scale ones from `small_exchange`, maps the latter back
-    through the recorded transform, and merges per frame.  The final
+    through the transform file recorded with its request (a missing
+    one raises FileNotFoundError), and merges per frame.  The final
     stage passes labels through untouched.
     """
     if cfg.stage == "final":
@@ -318,30 +290,37 @@ def build_round(cfg: RoundConfig, current: list[LabelSet],
 
     out = []
     for cur in current:
-        preds = exchange.read_response(cur.frame_id)
-        _check_pred_dims(preds, cur)
+        preds = _response(exchange, cur)
         if cfg.stage == "moving2mobile":
             out.append(threshold_filter(preds, cfg.conf_threshold))
             continue
         large = threshold_filter(preds, cfg.conf_threshold[0])
-        small_preds = small_exchange.read_response(cur.frame_id)
-        _check_pred_dims(small_preds, cur)
-        small = threshold_filter(small_preds, cfg.conf_threshold[1])
-        t = _with_transform(small_exchange, cur.frame_id, cur, cfg.scale[1])
-        small = invert_labels(small, t)
-        out.append(mask_agg(large, small, cfg.agg))
+        small = threshold_filter(_response(small_exchange, cur), cfg.conf_threshold[1])
+        t = read_transform(small_exchange.transform_path(cur.frame_id))
+        out.append(mask_agg(large, invert_labels(small, t), cfg.agg))
     return out
+
+
+def _detector_runs(cfg: RoundConfig, root: Path) -> list[tuple[DetectorExchange, float | None]]:
+    """[(exchange, inference scale or None)] for one stage: the (large,
+    small) pair for large2small, one run at the labels' own geometry
+    otherwise."""
+    if cfg.stage == "large2small":
+        return [(DetectorExchange(root / f"large2small.{branch}"), scale)
+                for branch, scale in zip(("large", "small"), cfg.scale)]
+    return [(DetectorExchange(root / cfg.stage), None)]
 
 
 def run_pipeline(l0: list[LabelSet], stages, exchange_root, detector=None) -> dict:
     """Drive the stages in order over one set of initial labels.
 
     `stages` must follow the moving2mobile, large2small, final order
-    (prefixes allowed).  For every detector-backed stage the requests
-    and manifest are written first; `detector(labels, transform)` then
-    fills the responses, or, when None, responses must already exist
-    in the exchange directories.  Returns {stage name: label sets},
-    plus the initial labels under "l0".
+    (prefixes allowed).  Every stage writes its manifest and requests
+    first (the two-scale stage with each request's transform); in the
+    detector-backed stages `detector(labels, transform)` then fills
+    the responses, or, when None, responses must already exist in the
+    exchange directories.  Returns {stage name: label sets}, plus the
+    initial labels under "l0".
     """
     stages = list(stages)
     names = [s.stage for s in stages]
@@ -354,33 +333,15 @@ def run_pipeline(l0: list[LabelSet], stages, exchange_root, detector=None) -> di
     current = list(l0)
     results: dict = {"l0": current}
     for cfg in stages:
-        if cfg.stage == "moving2mobile":
-            ex = DetectorExchange(root / "moving2mobile")
+        runs = _detector_runs(cfg, root)
+        for ex, _ in runs:
             ex.write_manifest(frame_ids, cfg)
-            for ls in current:
-                ex.write_request(ls)
-                if detector is not None:
-                    ex.write_response(detector(ls, None))
-            current = build_round(cfg, current, ex)
-        elif cfg.stage == "large2small":
-            ex_large = DetectorExchange(root / "large2small.large")
-            ex_small = DetectorExchange(root / "large2small.small")
-            ex_large.write_manifest(frame_ids, cfg)
-            ex_small.write_manifest(frame_ids, cfg)
-            for ls in current:
-                t_large = make_transform(ls.height, ls.width, cfg.scale[0])
-                t_small = make_transform(ls.height, ls.width, cfg.scale[1])
-                ex_large.write_request(ls, t_large)
-                ex_small.write_request(ls, t_small)
-                if detector is not None:
-                    ex_large.write_response(detector(ls, t_large))
-                    ex_small.write_response(detector(ls, t_small))
-            current = build_round(cfg, current, ex_large, ex_small)
-        else:
-            ex = DetectorExchange(root / "final")
-            ex.write_manifest(frame_ids, cfg)
-            for ls in current:
-                ex.write_request(ls)
-            current = build_round(cfg, current, ex)
+        for ls in current:
+            for ex, scale in runs:
+                t = None if scale is None else make_transform(ls.height, ls.width, scale)
+                ex.write_request(ls, t)
+                if detector is not None and cfg.stage != "final":
+                    ex.write_response(detector(ls, t))
+        current = build_round(cfg, current, *(ex for ex, _ in runs))
         results[cfg.stage] = current
     return results

@@ -1,13 +1,16 @@
 import inspect
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+import mobilabel.cli
+import mobilabel.io
 from mobilabel.aggregate import AggParams
 from mobilabel.cli import build_parser, main
 from mobilabel.initlabel import DbscanParams, make_initial_labels
-from mobilabel.io import read_labels
+from mobilabel.io import read_labels, write_motion
 from mobilabel.maskcore import PreparedMask, iou
 from mobilabel.rounds import default_config_snapshot, default_stages, gt_overlap_filter
 
@@ -118,6 +121,26 @@ def test_init_labels_finds_moving_objects(dataset, tmp_path, capsys):
         assert len(ls.instances) == len(movers)
 
 
+def test_init_labels_reads_each_raster_once(dataset, tmp_path, monkeypatch):
+    read_depth = mobilabel.io.read_depth
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return read_depth(path)
+
+    for module in (mobilabel.io, mobilabel.cli):
+        monkeypatch.setattr(module, "read_depth", counting)
+    assert run("init-labels", "--data", dataset, "--out", tmp_path / "l0") == 0
+    assert len(calls) == 3
+
+
+def test_init_labels_mismatched_rasters_is_usage_error(dataset, tmp_path, capsys):
+    write_motion(dataset / "motion" / "000001.pgm", np.zeros((6, 5)))
+    assert run("init-labels", "--data", dataset, "--out", tmp_path / "l0") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # -- rescale ------------------------------------------------------------------
 
 def test_rescale_round_trip(dataset, tmp_path):
@@ -166,6 +189,28 @@ def test_aggregate_missing_small_frame_is_exit_3(dataset, tmp_path):
     small.mkdir()
     assert run("aggregate", "--large", dataset / "labels", "--small", small,
                "--out", tmp_path / "o") == 3
+
+
+def test_worker_errors_match_in_process_errors(dataset, tmp_path, capsys):
+    # a typed error raised in a worker process reaches the CLI unchanged
+    bad = tmp_path / "bad"
+    shutil.copytree(dataset / "labels", bad)
+    doc = json.loads((bad / "000001.json").read_text())
+    del doc["instances"][0]["score"]
+    (bad / "000001.json").write_text(json.dumps(doc))
+    small = tmp_path / "small"
+    small.mkdir()
+    shutil.copy(dataset / "labels" / "000000.json", small)
+    cases = {
+        ("filter", "--labels", bad, "--conf", 0.5):
+            (2, "error: $.instances[0].score: missing required field\n"),
+        ("aggregate", "--large", dataset / "labels", "--small", small):
+            (3, "error: no prediction file for frame '000001'\n"),
+    }
+    for argv, want in cases.items():
+        for workers in (1, 2):
+            code = run(*argv, "--out", tmp_path / f"o{workers}", "--workers", workers)
+            assert (code, capsys.readouterr().err) == want
 
 
 def test_filter_conf_and_gt_overlap(dataset, tmp_path, capsys):

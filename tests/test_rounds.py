@@ -220,9 +220,21 @@ def test_l2s_low_scores_are_dropped(tmp_path):
     ex_s = DetectorExchange(tmp_path / "small")
     weak = lset("000000", rect(4, 4, 40, 40, 0.89, 0))  # below the 0.9 cut
     ex_l.write_response(weak)
+    ex_s.write_request(gt, make_transform(H, W, cfg.scale[1]))
     ex_s.write_response(lset("000000"))
     out = build_round(cfg, [gt], ex_l, ex_s)[0]
     assert out.instances == []
+
+
+def test_l2s_missing_small_transform_raises(tmp_path):
+    gt, _, _ = _large_small_gt()
+    ex_l = DetectorExchange(tmp_path / "large")
+    ex_s = DetectorExchange(tmp_path / "small")
+    ex_l.write_response(gt)
+    ex_s.write_response(lset("000000"))
+    with pytest.raises(FileNotFoundError) as err:
+        build_round(default_stages()[1], [gt], ex_l, ex_s)
+    assert str(ex_s.transform_path("000000")) in str(err.value)
 
 
 def test_final_round_passes_through(tmp_path):
