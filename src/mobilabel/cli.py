@@ -13,10 +13,11 @@ One binary, one subcommand per pipeline step:
 Every hyperparameter is a flag whose stock default is read from the
 code that owns it (DbscanParams, AggParams, default_stages and the
 function signatures), so the CLI cannot drift from the library; a
---config file (flat JSON object of flag names) supplies defaults, and
-explicit flags win over it.  Exit codes: 0 success, 1 internal error,
-2 usage or contract violation, 3 missing inputs.  All outputs are
-byte-deterministic and independent of --workers.
+--config file (flat JSON object of flag names) is parsed as flags
+placed before the explicit ones, which win over it.  Exit codes: 0
+success, 1 internal error, 2 usage or contract violation, 3 missing
+inputs.  All outputs are byte-deterministic and independent of
+--workers.
 """
 
 import argparse
@@ -558,6 +559,9 @@ def build_parser():
 
 
 def _apply_config(parser, subs, args, argv):
+    """Re-parse argv with the config file's flags placed right after the
+    subcommand, so argparse converts every value, an exclusive group sees
+    both sources, and a later explicit flag wins."""
     path = _need_file(args.config, "config file")
     try:
         data = json.loads(path.read_text())
@@ -565,16 +569,24 @@ def _apply_config(parser, subs, args, argv):
         raise ValueError(f"config file {path}: {e}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config file {path}: expected a flat object")
-    sub = subs.choices[args.command]
-    known = {a.dest for a in sub._actions}
-    overrides = {}
+    actions = {a.dest: a for a in subs.choices[args.command]._actions if a.option_strings}
+    tokens = []
     for key, value in data.items():
-        dest = key.replace("-", "_")
-        if dest not in known or dest in ("help", "config"):
+        action = actions.get(key.replace("-", "_"))
+        if action is None or action.dest in ("help", "config"):
             raise ValueError(f"config file {path}: unknown option {key!r}")
-        overrides[dest] = value
-    sub.set_defaults(**overrides)
-    return parser.parse_args(argv)  # explicit flags beat config defaults
+        flag = max(action.option_strings, key=len)
+        if action.nargs == 0:  # a switch
+            if not isinstance(value, bool):
+                raise ValueError(f"config file {path}: {key!r} must be true or false")
+            tokens += [flag] if value else []
+            continue
+        values = value if isinstance(value, list) and action.nargs is not None else [value]
+        if any(v is None or isinstance(v, (bool, list, dict)) for v in values):
+            raise ValueError(f"config file {path}: {key!r} has an invalid value {value!r}")
+        tokens += [flag, *map(str, values)]
+    at = argv.index(args.command) + 1
+    return parser.parse_args([*argv[:at], *tokens, *argv[at:]])
 
 
 def main(argv=None) -> int:

@@ -5,7 +5,10 @@ Matching is greedy per frame: predictions in descending score order each
 take the unmatched ground-truth instance of highest IoU at or above the
 threshold. One matching per (frame, threshold) feeds every reported
 number, so size-bucket recalls weighted by their ground-truth counts
-reproduce the overall recall exactly.
+reproduce the overall recall exactly. The pooled predictions are ranked
+once; per threshold, one hit vector over that ranking gives every AP
+and one found vector over the pooled ground truth gives every recall
+(overall, per size bucket, static/moving).
 
 Conventions, chosen once and used everywhere:
 - Instance area is the mask pixel count, in box mode too.
@@ -80,7 +83,7 @@ class EvalReport:
     gt_by_attribute: dict[str, int] | None = None
 
 
-def size_bucket(area: float, boundaries: tuple[float, float] = (1024.0, 9216.0)) -> str:
+def size_bucket(area: float, boundaries: tuple[float, float] = EvalConfig.size_buckets) -> str:
     """S below the first boundary, M below the second, L otherwise."""
     if area < 0:
         raise ValueError(f"area must be non-negative, got {area}")
@@ -89,10 +92,6 @@ def size_bucket(area: float, boundaries: tuple[float, float] = (1024.0, 9216.0))
     if area < boundaries[1]:
         return "M"
     return "L"
-
-
-def _pred_order(labels: LabelSet) -> list:
-    return sorted(labels.instances, key=lambda i: (-i.score, i.instance_id))
 
 
 def _iou_matrix(preds, gts, mode: str) -> np.ndarray:
@@ -132,56 +131,33 @@ def _greedy(iou: np.ndarray, gts, thr: float) -> dict[int, int]:
     return out
 
 
-def match_instances(preds: LabelSet, gt: LabelSet, iou_thrd: float, mode: str = "mask") -> dict[int, int]:
-    """Greedy matching for one frame: prediction id -> ground-truth id."""
+def _match_frame(preds: LabelSet, gt: LabelSet, mode: str, thresholds,
+                 max_dets: int | None = None) -> tuple[list, list[dict[int, int]]]:
+    """One frame's top-scoring predictions and, per threshold, their
+    greedy matching (pred index -> gt index)."""
     if (preds.height, preds.width) != (gt.height, gt.width):
         raise DimensionMismatch(
-            f"prediction frame is {preds.height}x{preds.width}, ground truth {gt.height}x{gt.width}"
+            f"frame {gt.frame_id!r}: predictions are {preds.height}x{preds.width}, "
+            f"ground truth {gt.height}x{gt.width}"
         )
-    ordered = _pred_order(preds)
+    ordered = sorted(preds.instances, key=lambda i: (-i.score, i.instance_id))[:max_dets]
     iou = _iou_matrix(ordered, gt.instances, mode)
-    raw = _greedy(iou, gt.instances, iou_thrd)
+    return ordered, [_greedy(iou, gt.instances, t) for t in thresholds]
+
+
+def match_instances(preds: LabelSet, gt: LabelSet, iou_thrd: float, mode: str = "mask") -> dict[int, int]:
+    """Greedy matching for one frame: prediction id -> ground-truth id."""
+    ordered, (raw,) = _match_frame(preds, gt, mode, (iou_thrd,))
     return {ordered[i].instance_id: gt.instances[j].instance_id for i, j in raw.items()}
 
 
-class _Frame:
-    """Matching state for one frame across every threshold."""
-
-    def __init__(self, preds: LabelSet, gt: LabelSet, cfg: EvalConfig):
-        if (preds.height, preds.width) != (gt.height, gt.width):
-            raise DimensionMismatch(
-                f"frame {gt.frame_id!r}: predictions are {preds.height}x{preds.width}, "
-                f"ground truth {gt.height}x{gt.width}"
-            )
-        self.frame_id = gt.frame_id
-        self.preds = _pred_order(preds)[: cfg.max_dets]
-        self.gts = gt.instances
-        self.pred_bucket = [size_bucket(p.area, cfg.size_buckets) for p in self.preds]
-        self.gt_bucket = [size_bucket(g.area, cfg.size_buckets) for g in self.gts]
-        iou = _iou_matrix(self.preds, self.gts, cfg.mode)
-        # matches[t][pred index] = gt index
-        self.matches = {t: _greedy(iou, self.gts, t) for t in cfg.iou_thresholds}
-
-
-def _interpolated_ap(entries: list[tuple], n_gt: int) -> float:
-    """entries: (sort_key, kind) with kind 'tp'/'fp'/'ignore', pre-sorted."""
-    if n_gt == 0:
+def _ap101(hit: np.ndarray, n_gt: int) -> float:
+    """101-point interpolated AP of a ranked hit vector against n_gt ground truth."""
+    if n_gt == 0 or not len(hit):
         return 0.0
-    tp = fp = 0
-    recalls, precisions = [], []
-    for _, kind in entries:
-        if kind == "ignore":
-            continue
-        if kind == "tp":
-            tp += 1
-        else:
-            fp += 1
-        recalls.append(tp / n_gt)
-        precisions.append(tp / (tp + fp))
-    if not recalls:
-        return 0.0
-    rec = np.asarray(recalls)
-    prec = np.asarray(precisions)
+    tp = np.cumsum(hit)
+    rec = tp / n_gt
+    prec = tp / np.arange(1, len(hit) + 1)
     prec = np.maximum.accumulate(prec[::-1])[::-1]  # envelope from the right
     # i / 100.0 is correctly rounded; linspace would give 70 * 0.01 > 0.7
     # and skip past a recall that is exactly 7/10.
@@ -206,89 +182,70 @@ def evaluate(preds: list[LabelSet], gt: list[LabelSet], cfg: EvalConfig = EvalCo
              with_attributes: bool = False) -> EvalReport:
     """Full evaluation of parallel prediction/ground-truth frame lists."""
     _check_parallel(preds, gt)
-    frames = [_Frame(p, g, cfg) for p, g in zip(preds, gt)]
-    frames.sort(key=lambda f: f.frame_id)
+    thresholds = cfg.iou_thresholds
+    frames = [(g, *_match_frame(p, g, cfg.mode, thresholds, cfg.max_dets)) for p, g in zip(preds, gt)]
+    frames.sort(key=lambda f: f[0].frame_id)
 
-    n_gt = sum(len(f.gts) for f in frames)
-    n_pred = sum(len(f.preds) for f in frames)
-    gt_by_size = {b: 0 for b in SIZE_NAMES}
-    for f in frames:
-        for b in f.gt_bucket:
-            gt_by_size[b] += 1
+    # Pool every frame: once ranked, gt_of[t, k] is the pooled gt index that
+    # the prediction of rank k matches at threshold t, or -1.
+    gts = [(g.frame_id, inst) for g, _, _ in frames for inst in g.instances]
+    keys = []
+    gt_of = np.full((len(thresholds), sum(len(o) for _, o, _ in frames)), -1)
+    gt_off = 0
+    for g, ordered, matches in frames:
+        for t, m in enumerate(matches):
+            for i, j in m.items():
+                gt_of[t, len(keys) + i] = gt_off + j
+        keys += [(-p.score, g.frame_id, p.instance_id) for p in ordered]
+        gt_off += len(g.instances)
+    rank = sorted(range(len(keys)), key=keys.__getitem__)
+    gt_of = gt_of[:, rank]
 
-    attr_names = ("all", "static", "moving")
-    gt_by_attr = None
+    def buckets(instances):
+        return np.array([size_bucket(i.area, cfg.size_buckets) for i in instances], dtype=str)
+
+    pred_bucket = buckets(p for _, ordered, _ in frames for p in ordered)[rank]
+    gt_bucket = buckets(inst for _, inst in gts)
+    groups = {"all": np.ones(len(gts), dtype=bool)}
+    groups.update((b, gt_bucket == b) for b in SIZE_NAMES)
     if with_attributes:
-        for f in frames:
-            for g in f.gts:
-                if g.attributes is None or "moving" not in g.attributes:
-                    raise MissingAttribute(
-                        f"frame {f.frame_id!r} instance {g.instance_id} lacks the moving flag"
-                    )
-        gt_by_attr = {
-            "all": n_gt,
-            "static": sum(not g.attributes["moving"] for f in frames for g in f.gts),
-            "moving": sum(bool(g.attributes["moving"]) for f in frames for g in f.gts),
-        }
+        for fid, g in gts:
+            if g.attributes is None or "moving" not in g.attributes:
+                raise MissingAttribute(f"frame {fid!r} instance {g.instance_id} lacks the moving flag")
+        moving = np.array([bool(g.attributes["moving"]) for _, g in gts], dtype=bool)
+        groups.update(static=~moving, moving=moving)
+    counts = {k: int(mask.sum()) for k, mask in groups.items()}
 
-    ar_t, ap_t = [], []
-    ar_size_t = {b: [] for b in SIZE_NAMES}
-    ap_size_t = {b: [] for b in SIZE_NAMES}
-    ar_attr_t = {a: [] for a in attr_names}
-
-    for t in cfg.iou_thresholds:
-        matched = 0
-        matched_size = {b: 0 for b in SIZE_NAMES}
-        matched_attr = {a: 0 for a in attr_names}
-        pooled = []
-        for f in frames:
-            m = f.matches[t]
-            for i, p in enumerate(f.preds):
-                key = (-p.score, f.frame_id, p.instance_id)
-                if i in m:
-                    pooled.append((key, "tp", f.gt_bucket[m[i]]))
-                else:
-                    pooled.append((key, "fp", f.pred_bucket[i]))
-            matched += len(m)
-            for j in m.values():
-                matched_size[f.gt_bucket[j]] += 1
-            if with_attributes:
-                for j in m.values():
-                    moving = bool(f.gts[j].attributes["moving"])
-                    matched_attr["all"] += 1
-                    matched_attr["moving" if moving else "static"] += 1
-        pooled.sort(key=lambda e: e[0])
-
-        ar_t.append(matched / n_gt if n_gt else 0.0)
-        ap_t.append(_interpolated_ap([(k, kind) for k, kind, _ in pooled], n_gt))
+    recall = {k: [] for k in groups}
+    ap_t, ap_size_t = [], {b: [] for b in SIZE_NAMES}
+    for row in gt_of:
+        hit = row >= 0
+        found = np.zeros(len(gts), dtype=bool)
+        found[row[hit]] = True
+        for k, mask in groups.items():
+            recall[k].append(int(found[mask].sum()) / counts[k] if counts[k] else 0.0)
+        # a hit counts in its ground truth's bucket, a miss in its own
+        bucket = pred_bucket.copy()
+        bucket[hit] = gt_bucket[row[hit]]
+        ap_t.append(_ap101(hit, counts["all"]))
         for b in SIZE_NAMES:
-            ar_size_t[b].append(matched_size[b] / gt_by_size[b] if gt_by_size[b] else 0.0)
-            entries = []
-            for k, kind, bucket in pooled:
-                if kind == "tp":
-                    entries.append((k, "tp" if bucket == b else "ignore"))
-                else:
-                    entries.append((k, "fp" if bucket == b else "ignore"))
-            ap_size_t[b].append(_interpolated_ap(entries, gt_by_size[b]))
-        if with_attributes:
-            for a in attr_names:
-                denom = gt_by_attr[a]
-                ar_attr_t[a].append(matched_attr[a] / denom if denom else 0.0)
+            ap_size_t[b].append(_ap101(hit[bucket == b], counts[b]))
 
     report = EvalReport(
-        ar=float(np.mean(ar_t)),
+        ar=float(np.mean(recall["all"])),
         ap=float(np.mean(ap_t)),
-        ar_per_threshold=tuple(ar_t),
+        ar_per_threshold=tuple(recall["all"]),
         ap_per_threshold=tuple(ap_t),
-        ar_by_size={b: float(np.mean(ar_size_t[b])) for b in SIZE_NAMES},
+        ar_by_size={b: float(np.mean(recall[b])) for b in SIZE_NAMES},
         ap_by_size={b: float(np.mean(ap_size_t[b])) for b in SIZE_NAMES},
-        n_gt=n_gt,
-        n_pred=n_pred,
-        gt_by_size=gt_by_size,
+        n_gt=len(gts),
+        n_pred=len(keys),
+        gt_by_size={b: counts[b] for b in SIZE_NAMES},
     )
     if with_attributes:
-        report.ar_by_attribute = {a: float(np.mean(ar_attr_t[a])) for a in attr_names}
-        report.gt_by_attribute = gt_by_attr
+        attrs = ("all", "static", "moving")
+        report.ar_by_attribute = {a: float(np.mean(recall[a])) for a in attrs}
+        report.gt_by_attribute = {a: counts[a] for a in attrs}
     return report
 
 

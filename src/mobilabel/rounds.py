@@ -13,9 +13,10 @@ Stages, in fixed order:
                  on motion-seeded labels, generalizes to static
                  instances of the same categories.
   large2small    run the detector at a fixed pair of scales; keep
-                 high-confidence predictions per scale, map the
-                 small-scale ones back to original coordinates, and
-                 merge the two sets with the mask aggregation rules.
+                 high-confidence predictions per scale, map both runs
+                 back to original coordinates through their recorded
+                 transforms, and merge the two sets with the mask
+                 aggregation rules.
   final          emit the finished training manifest for the last
                  from-scratch training run; labels pass through.
 
@@ -23,7 +24,7 @@ Exchange layout (one directory per detector run):
 
   request/<frame_id>.labels.json     training labels for this round
   request/<frame_id>.transform.json  inference-scale geometry (large2small,
-                                     where the small-scale one is required)
+                                     required for both runs)
   response/<frame_id>.pred.json      scored predictions per frame
   MANIFEST.json                      frame ids plus the stage config
 """
@@ -37,10 +38,11 @@ from .errors import (
     DimensionMismatch,
     FrameMismatch,
     MissingPredictions,
+    SchemaViolation,
     StageOrderViolation,
 )
 from .initlabel import LabelSet, make_initial_labels
-from .io import _dump_json, _load_json, atomic_write_bytes, read_labels, read_transform, write_labels, write_transform
+from .io import _dump_json, _load_json, _want, atomic_write_bytes, read_labels, read_transform, write_labels, write_transform
 from .maskcore import PreparedMask, iou
 from .rescale import ScaleTransform, make_transform, invert_labels
 
@@ -258,7 +260,15 @@ class DetectorExchange:
 
     def read_manifest(self):
         d = _load_json(self.manifest_path)
-        return list(d["frame_ids"]), RoundConfig.from_dict(d["config"])
+        frame_ids = _want(d, "frame_ids", "list", "$")
+        for i, fid in enumerate(frame_ids):
+            if not isinstance(fid, str):
+                raise SchemaViolation(f"$.frame_ids[{i}]", f"expected a string, got {fid!r}")
+        config = _want(d, "config", "dict", "$")
+        try:
+            return frame_ids, RoundConfig.from_dict(config)
+        except (KeyError, TypeError, ValueError) as e:
+            raise SchemaViolation("$.config", f"invalid stage config: {type(e).__name__}: {e}") from e
 
 
 def _response(exchange: DetectorExchange, current: LabelSet) -> LabelSet:
@@ -278,26 +288,25 @@ def build_round(cfg: RoundConfig, current: list[LabelSet],
     `current` fixes the frame list and dimensions.  The single-scale
     stage reads one response per frame and keeps high scorers.  The
     two-scale stage reads large-scale responses from `exchange` and
-    small-scale ones from `small_exchange`, maps the latter back
-    through the transform file recorded with its request (a missing
-    one raises FileNotFoundError), and merges per frame.  The final
-    stage passes labels through untouched.
+    small-scale ones from `small_exchange`, maps each back through the
+    transform file recorded with its own request (a missing one raises
+    FileNotFoundError), and merges per frame.  The final stage passes
+    labels through untouched.
     """
     if cfg.stage == "final":
         return list(current)
-    if cfg.stage == "large2small" and small_exchange is None:
+    if cfg.stage == "moving2mobile":
+        return [threshold_filter(_response(exchange, cur), cfg.conf_threshold) for cur in current]
+    if small_exchange is None:
         raise ValueError("large2small needs the small-scale exchange")
 
     out = []
     for cur in current:
-        preds = _response(exchange, cur)
-        if cfg.stage == "moving2mobile":
-            out.append(threshold_filter(preds, cfg.conf_threshold))
-            continue
-        large = threshold_filter(preds, cfg.conf_threshold[0])
-        small = threshold_filter(_response(small_exchange, cur), cfg.conf_threshold[1])
-        t = read_transform(small_exchange.transform_path(cur.frame_id))
-        out.append(mask_agg(large, invert_labels(small, t), cfg.agg))
+        large, small = (
+            invert_labels(threshold_filter(_response(ex, cur), conf),
+                          read_transform(ex.transform_path(cur.frame_id)))
+            for ex, conf in zip((exchange, small_exchange), cfg.conf_threshold))
+        out.append(mask_agg(large, small, cfg.agg))
     return out
 
 

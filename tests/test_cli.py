@@ -338,3 +338,38 @@ def test_config_invalid_json_is_usage_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
     assert run("synth", "--config", cfg, "--out", tmp_path / "o") == 2
+
+
+def test_config_lists_spread_and_switches_set(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"frames": 1, "objects": [2, 2], "verbose": True,
+                               "out": str(tmp_path / "c")}))
+    assert run("synth", "--config", cfg) == 0
+    captured = capsys.readouterr()
+    assert "synth: 1 frames, 2 instances" in captured.out
+    assert "frame 000000: 2 instances" in captured.err
+
+
+@pytest.mark.parametrize("entry", [
+    {"frames": None}, {"frames": "three"}, {"frames": 2.5}, {"frames": True},
+    {"frames": [1]}, {"frames": {"n": 1}}, {"objects": [1]}, {"workers": None},
+    {"verbose": "yes"}, {"verbose": 1},
+])
+def test_config_null_or_wrong_typed_value_is_usage_error(tmp_path, capsys, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    assert run("synth", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert "internal error" not in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_conflicting_with_explicit_exclusive_flag_is_usage_error(dataset, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"conf": 0.99}))
+    assert run("filter", "--config", cfg, "--labels", dataset / "labels",
+               "--gt-overlap", "--gt", dataset / "labels", "--out", tmp_path / "o") == 2
+    assert not (tmp_path / "o").exists()
+    # the same flag given explicitly still beats the config value
+    assert run("filter", "--config", cfg, "--labels", dataset / "labels",
+               "--conf", 0.5, "--out", tmp_path / "o") == 0
+    assert len(list((tmp_path / "o").glob("*.json"))) == 3

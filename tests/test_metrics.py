@@ -12,6 +12,7 @@ from mobilabel.metrics import (
     size_bucket,
 )
 
+import oracles
 from oracles import ap101_ref, greedy_match_ref, iou_ref
 
 H, W = 48, 64
@@ -280,6 +281,91 @@ def test_matches_bruteforce_oracle_on_random_frames():
             assert abs(r.ar_per_threshold[ti] - want_ar) < 1e-9
             want_ap = ap101_ref([-k[0] for k in pooled], [k[3] for k in pooled], n_gt)
             assert abs(r.ap_per_threshold[ti] - want_ap) < 1e-9
+
+
+def _sized_scene(rng, fid, side=160):
+    """S, M and L objects with moving flags, plus jittered and stray predictions."""
+    gts, preds = [], []
+    for lo, hi in ((6, 30), (34, 92), (100, 150)):  # S, M and L sides at the default buckets
+        for _ in range(int(rng.integers(1, 4))):
+            h, w = (int(v) for v in rng.integers(lo, hi, size=2))
+            y, x = int(rng.integers(0, side - h + 1)), int(rng.integers(0, side - w + 1))
+            m = np.zeros((side, side), dtype=bool)
+            m[y:y + h, x:x + w] = True
+            gts.append((m, 1.0, {"moving": bool(rng.random() < 0.5)}))
+            if rng.random() < 0.8:  # shifted and resized, so it may leave its bucket
+                dh, dw = (int(v) for v in rng.integers(-h // 4, h // 4 + 1, size=2))
+                y2 = min(max(y + int(rng.integers(-4, 5)), 0), side - 1)
+                x2 = min(max(x + int(rng.integers(-4, 5)), 0), side - 1)
+                p = np.zeros((side, side), dtype=bool)
+                p[y2:y2 + max(h + dh, 1), x2:x2 + max(w + dw, 1)] = True
+                preds.append((p, float(rng.random()), None))
+    for _ in range(int(rng.integers(0, 4))):  # false positives of any size
+        h, w = (int(v) for v in rng.integers(4, 120, size=2))
+        p = np.zeros((side, side), dtype=bool)
+        p[rng.integers(0, side - h):, rng.integers(0, side - w):][:h, :w] = True
+        preds.append((p, float(rng.random()), None))
+
+    def frame(entries):
+        insts = [InstanceLabel.from_mask(m, sc, i, attributes=a)
+                 for i, (m, sc, a) in enumerate(entries)]
+        return LabelSet(fid, side, side, insts)
+    return frame(preds), frame(gts)
+
+
+def test_split_scores_match_bruteforce_oracle(monkeypatch):
+    # every split follows the documented convention: a matched prediction
+    # counts in its ground truth's size bucket, an unmatched one in its own
+    seen = {}  # the pixel-loop IoU oracle, computed once per mask pair
+
+    def cached_iou_ref(a, b):
+        if (id(a), id(b)) not in seen:  # the entry keeps both arrays, so ids stay unique
+            seen[id(a), id(b)] = (a, b, iou_ref(a, b))
+        return seen[id(a), id(b)][2]
+    monkeypatch.setattr(oracles, "iou_ref", cached_iou_ref)
+    cfg = EvalConfig(iou_thresholds=(0.3, 0.5, 0.75))
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        frames = [_sized_scene(rng, f"{f:03d}") for f in range(3)]
+        preds, gt = [p for p, _ in frames], [g for _, g in frames]
+        r = evaluate(preds, gt, cfg, with_attributes=True)
+        masks = [([i.mask_array() for i in pf.instances], [g.mask_array() for g in gf.instances])
+                 for pf, gf in zip(preds, gt)]
+
+        gts = [g for gf in gt for g in gf.instances]
+        gt_size = [size_bucket(g.area) for g in gts]
+        gt_moving = [g.attributes["moving"] for g in gts]
+        groups = {"S": [b == "S" for b in gt_size], "M": [b == "M" for b in gt_size],
+                  "L": [b == "L" for b in gt_size], "all": [True] * len(gts),
+                  "static": [not m for m in gt_moving], "moving": gt_moving}
+        recall = {k: [] for k in groups}
+        ap_size = {b: [] for b in ("S", "M", "L")}
+        for thr in cfg.iou_thresholds:
+            found = []
+            pooled = []  # (-score, frame id, instance id, matched, bucket)
+            for pf, gf, (pm, gm) in zip(preds, gt, masks):
+                match = greedy_match_ref(pm, [i.score for i in pf.instances], gm, thr)
+                found += [j in match.values() for j in range(len(gf.instances))]
+                for i, inst in enumerate(pf.instances):
+                    bucket = (size_bucket(gf.instances[match[i]].area) if i in match
+                              else size_bucket(inst.area))
+                    pooled.append((-inst.score, gf.frame_id, inst.instance_id, i in match, bucket))
+            pooled.sort()
+            for k, members in groups.items():
+                n = sum(members)
+                recall[k].append(sum(f and m for f, m in zip(found, members)) / n if n else 0.0)
+            for b in ap_size:
+                kept = [e for e in pooled if e[4] == b]
+                ap_size[b].append(ap101_ref([-e[0] for e in kept], [e[3] for e in kept],
+                                            gt_size.count(b)))
+        for b in ("S", "M", "L"):
+            assert r.gt_by_size[b] == gt_size.count(b)
+            assert abs(r.ar_by_size[b] - np.mean(recall[b])) < 1e-9
+            assert abs(r.ap_by_size[b] - np.mean(ap_size[b])) < 1e-9
+        for a in ("all", "static", "moving"):
+            assert r.gt_by_attribute[a] == sum(groups[a])
+            assert abs(r.ar_by_attribute[a] - np.mean(recall[a])) < 1e-9
+        assert min(r.gt_by_size.values()) > 0 and r.gt_by_attribute["moving"] > 0
 
 
 def test_iou_matrix_against_reference():

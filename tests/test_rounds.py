@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from mobilabel.errors import (
     DimensionMismatch,
     FrameMismatch,
     MissingPredictions,
+    SchemaViolation,
     StageOrderViolation,
 )
 from mobilabel.initlabel import InstanceLabel, LabelSet
@@ -170,6 +174,28 @@ def test_manifest_round_trip(tmp_path):
     assert ids == ["000000", "000001"] and got == cfg
 
 
+@pytest.mark.parametrize("payload, field", [
+    ({"frame_ids": "abc", "config": {"stage": "final"}}, "$.frame_ids"),
+    ({"frame_ids": ["000000", 1], "config": {"stage": "final"}}, "$.frame_ids[1]"),
+    ({"config": {"stage": "final"}}, "$.frame_ids"),
+    ({"frame_ids": [], "config": ["final"]}, "$.config"),
+    ({"frame_ids": []}, "$.config"),
+    ({"frame_ids": [], "config": {"stage": "final", "epochs": "x"}}, "$.config"),
+    ({"frame_ids": [], "config": {"epochs": 3}}, "$.config"),
+    ({"frame_ids": [], "config": {"stage": "nope"}}, "$.config"),
+    ({"frame_ids": [], "config": {**default_stages()[1].to_dict(),
+                                  "agg": {"no_such_knob": 1}}}, "$.config"),
+    (["000000"], "$"),
+])
+def test_malformed_manifest_is_a_schema_violation(tmp_path, payload, field):
+    ex = DetectorExchange(tmp_path / "x")
+    ex.root.mkdir()
+    ex.manifest_path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaViolation) as err:
+        ex.read_manifest()
+    assert err.value.field_path == field
+
+
 # -- build_round --------------------------------------------------------------
 
 def _large_small_gt():
@@ -204,6 +230,7 @@ def test_l2s_recovers_small_objects(tmp_path):
     ex_l = DetectorExchange(tmp_path / "large")
     ex_s = DetectorExchange(tmp_path / "small")
     t_small = make_transform(H, W, cfg.scale[1])
+    ex_l.write_request(l1, make_transform(H, W, cfg.scale[0]))
     ex_s.write_request(l1, t_small)
     ex_l.write_response(l1)                      # large scale sees the large object
     ex_s.write_response(transform_labels(gt, t_small))  # small scale sees everything
@@ -220,6 +247,7 @@ def test_l2s_low_scores_are_dropped(tmp_path):
     ex_s = DetectorExchange(tmp_path / "small")
     weak = lset("000000", rect(4, 4, 40, 40, 0.89, 0))  # below the 0.9 cut
     ex_l.write_response(weak)
+    ex_l.write_request(gt, make_transform(H, W, cfg.scale[0]))
     ex_s.write_request(gt, make_transform(H, W, cfg.scale[1]))
     ex_s.write_response(lset("000000"))
     out = build_round(cfg, [gt], ex_l, ex_s)[0]
@@ -230,6 +258,7 @@ def test_l2s_missing_small_transform_raises(tmp_path):
     gt, _, _ = _large_small_gt()
     ex_l = DetectorExchange(tmp_path / "large")
     ex_s = DetectorExchange(tmp_path / "small")
+    ex_l.write_request(gt, make_transform(H, W, default_stages()[1].scale[0]))
     ex_l.write_response(gt)
     ex_s.write_response(lset("000000"))
     with pytest.raises(FileNotFoundError) as err:
@@ -303,6 +332,26 @@ def test_pipeline_end_to_end_with_mock_detector(tmp_path):
 def _tree_bytes(root):
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_l2s_maps_the_large_scale_back_too(tmp_path):
+    # a noise-free detector at scales (0.5, 0.25): both runs must land in
+    # original coordinates, so aggregation merges them one per object
+    l0, gt_by_frame = _pipeline_inputs(3)
+
+    def detector(ls, transform):
+        gt = gt_by_frame[ls.frame_id]
+        return gt if transform is None else transform_labels(gt, transform)
+
+    m2m, l2s, _ = default_stages()
+    l2s = dataclasses.replace(l2s, scale=(0.5, 0.25))
+    res = run_pipeline(l0, [m2m, l2s], tmp_path, detector=detector)
+    for fid, got in zip(sorted(gt_by_frame), res["large2small"]):
+        gt = gt_by_frame[fid]
+        assert len(got.instances) == len(gt.instances)
+        for want in gt.instances:
+            assert any(iou(PreparedMask(i.mask), PreparedMask(want.mask)) >= 0.5
+                       for i in got.instances)
 
 
 def test_pipeline_reruns_byte_identical(tmp_path):
