@@ -20,7 +20,6 @@ from .initlabel import (
     DbscanParams,
     InstanceLabel,
     LabelSet,
-    PixelPoint3,
     binarize_motion,
     contour_partition,
     dbscan_partition,
@@ -84,7 +83,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AggParams", "BBox", "COCO_THRESHOLDS", "CameraIntrinsics", "DatasetLayout",
     "DbscanParams", "DetectorExchange", "DetectorNoise", "EvalConfig", "EvalReport",
-    "InstanceLabel", "LabelSet", "PixelPoint3", "PreparedMask", "Rle", "RoundConfig",
+    "InstanceLabel", "LabelSet", "PreparedMask", "Rle", "RoundConfig",
     "STAGES", "ScaleTransform", "SceneSpec", "attribute_split_ar", "bbox_of",
     "binarize_motion", "box_iou", "build_round", "connected_components",
     "contour_partition", "coverage", "dbscan_partition", "default_config_snapshot",

@@ -453,7 +453,7 @@ def build_parser():
     sp.add_argument("--min-pts", type=int, default=dbscan.min_pts,
                     help="neighbors (incl. self) for a core point")
     sp.add_argument("--pixel-window", type=int, default=dbscan.pixel_window,
-                    help="pixel neighborhood width")
+                    help="neighbors lie within PIXEL_WINDOW // 2 rows and columns")
     sp.add_argument("--min-area", type=int, default=_default(make_initial_labels, "min_area"),
                     help="drop clusters below this pixel area")
     _add_common(sp)
@@ -558,18 +558,24 @@ def build_parser():
     return parser, subs
 
 
-def _apply_config(parser, subs, args, argv):
-    """Re-parse argv with the config file's flags placed right after the
-    subcommand, so argparse converts every value, an exclusive group sees
-    both sources, and a later explicit flag wins."""
-    path = _need_file(args.config, "config file")
+def _with_config(subs, argv):
+    """(argv, config path): argv with the --config file's flags placed
+    right after the subcommand, so argparse converts every value, an
+    exclusive group sees both sources, and a later explicit flag wins."""
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    pre.add_argument("command", nargs="?")
+    pre.add_argument("--config")
+    known, _ = pre.parse_known_args(argv)
+    if known.config is None or known.command not in subs.choices:
+        return argv, known.config
+    path = _need_file(known.config, "config file")
     try:
         data = json.loads(path.read_text())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ValueError(f"config file {path}: {e}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config file {path}: expected a flat object")
-    actions = {a.dest: a for a in subs.choices[args.command]._actions if a.option_strings}
+    actions = {a.dest: a for a in subs.choices[known.command]._actions if a.option_strings}
     tokens = []
     for key, value in data.items():
         action = actions.get(key.replace("-", "_"))
@@ -585,8 +591,8 @@ def _apply_config(parser, subs, args, argv):
         if any(v is None or isinstance(v, (bool, list, dict)) for v in values):
             raise ValueError(f"config file {path}: {key!r} has an invalid value {value!r}")
         tokens += [flag, *map(str, values)]
-    at = argv.index(args.command) + 1
-    return parser.parse_args([*argv[:at], *tokens, *argv[at:]])
+    at = argv.index(known.command) + 1
+    return [*argv[:at], *tokens, *argv[at:]], known.config
 
 
 def main(argv=None) -> int:
@@ -594,9 +600,10 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser, subs = build_parser()
     try:
+        argv, config = _with_config(subs, argv)
         args = parser.parse_args(argv)
-        if args.config is not None:
-            args = _apply_config(parser, subs, args, argv)
+        if args.config != config:  # an abbreviation the pre-parser cannot see
+            parser.error("spell out --config in full")
         return args.fn(args)
     except SystemExit as e:  # argparse usage errors and --help
         return e.code if isinstance(e.code, int) else EXIT_USAGE

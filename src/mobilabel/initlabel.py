@@ -11,7 +11,6 @@ space but sit at different depths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .maskcore import BBox, Rle, bbox_of, connected_components, rle_decode, rle_
 __all__ = [
     "CameraIntrinsics",
     "DbscanParams",
-    "PixelPoint3",
     "InstanceLabel",
     "LabelSet",
     "binarize_motion",
@@ -51,10 +49,11 @@ class CameraIntrinsics:
 class DbscanParams:
     """Clustering knobs.
 
-    eps is a 3D Euclidean radius in meters. pixel_window is the side of
-    the square pixel neighborhood that gates candidate neighbors, so two
-    points can only be neighbors when they are close both on the image
-    plane and in 3D. min_pts counts the point itself.
+    eps is a 3D Euclidean radius in meters. pixel_window gates candidate
+    neighbors on the image plane: two points can only be neighbors when
+    their rows and their columns each differ by at most pixel_window // 2
+    (the default of 10 gives an 11 x 11 window) and they lie within eps in
+    3D. min_pts counts the point itself.
     """
 
     eps: float = 1.0
@@ -68,16 +67,6 @@ class DbscanParams:
             raise ValueError(f"min_pts must be >= 1, got {self.min_pts}")
         if self.pixel_window < 1:
             raise ValueError(f"pixel_window must be >= 1, got {self.pixel_window}")
-
-
-class PixelPoint3(NamedTuple):
-    """A pseudo 3D point remembering the pixel it came from."""
-
-    row: int
-    col: int
-    x: float
-    y: float
-    z: float
 
 
 @dataclass(frozen=True)
@@ -143,11 +132,10 @@ def binarize_motion(motion: np.ndarray, threshold: float) -> np.ndarray:
     return motion >= threshold
 
 
-def unproject(depth: np.ndarray, k: CameraIntrinsics, moving: np.ndarray) -> list[PixelPoint3]:
-    """Lift each foreground pixel to (x, y, z) through the inverse intrinsics.
-
-    Integer (row, col) addresses the pixel center; u = col, v = row:
-    x = (u - cx) / fx * d, y = (v - cy) / fy * d, z = d.
+def unproject(depth: np.ndarray, k: CameraIntrinsics, moving: np.ndarray) -> np.ndarray:
+    """Lift the foreground pixels, in row-major order, to an (n, 5) float64
+    array of (row, col, x, y, z). Integer (row, col) addresses the pixel
+    center; u = col, v = row: x = (u - cx) / fx * d, y = (v - cy) / fy * d, z = d.
     """
     depth = np.asarray(depth, dtype=np.float64)
     moving = np.asarray(moving, dtype=bool)
@@ -161,87 +149,92 @@ def unproject(depth: np.ndarray, k: CameraIntrinsics, moving: np.ndarray) -> lis
         raise NonPositiveDepth(int(rows[i]), int(cols[i]), float(d[i]))
     x = (cols - k.cx) / k.fx * d
     y = (rows - k.cy) / k.fy * d
-    return [PixelPoint3(int(r), int(c), float(xi), float(yi), float(zi))
-            for r, c, xi, yi, zi in zip(rows, cols, x, y, d)]
+    return np.column_stack((rows, cols, x, y, d))
 
 
-def project(p: PixelPoint3, k: CameraIntrinsics) -> tuple[float, float]:
-    """Pinhole projection back to (row, col); inverse of :func:`unproject`."""
-    u = p.x / p.z * k.fx + k.cx
-    v = p.y / p.z * k.fy + k.cy
+def project(p, k: CameraIntrinsics) -> tuple[float, float]:
+    """Inverse of :func:`unproject`: one (row, col, x, y, z) point to (row, col)."""
+    _, _, x, y, z = p
+    u = x / z * k.fx + k.cx
+    v = y / z * k.fy + k.cy
     return v, u
 
 
-def _window_neighbors(idx_by_pixel, rows, cols, xyz, i, half, eps2):
-    """Indices whose pixel falls in the window around point i and whose
-    3D distance is within eps. Includes i itself."""
-    r0, c0 = rows[i], cols[i]
-    out = []
-    for r in range(r0 - half, r0 + half + 1):
-        for c in range(c0 - half, c0 + half + 1):
-            for j in idx_by_pixel.get((r, c), ()):
-                d = xyz[j] - xyz[i]
-                if d[0] * d[0] + d[1] * d[1] + d[2] * d[2] <= eps2:
-                    out.append(j)
-    return out
+def _neighbor_pairs(rows, cols, xyz, params):
+    """Yield the (i, j) index arrays of the neighbor pairs, each pair once,
+    one forward pixel offset at a time, read off an index raster (-1: no
+    point) padded by the window half-width so no lookup needs a bounds check."""
+    half, eps2 = params.pixel_window // 2, params.eps * params.eps
+    r, c = rows - rows.min() + half, cols - cols.min() + half
+    raster = np.full((r.max() + half + 1, c.max() + half + 1), -1, dtype=np.int32)
+    raster[r, c] = np.arange(len(rows), dtype=np.int32)
+    for dr in range(half + 1):
+        for dc in range(-half if dr else 1, half + 1):
+            j = raster[r + dr, c + dc]
+            i = np.flatnonzero(j >= 0)
+            d = xyz[j[i]] - xyz[i]
+            i = i[d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] <= eps2]
+            yield i, j[i]
 
 
-def dbscan_partition(points: list[PixelPoint3], params: DbscanParams,
-                     shape: tuple[int, int]) -> list[np.ndarray]:
+def _union(root, a, b):
+    """Merge the sets of each pair (a[k], b[k]) in place. `root` maps every
+    point straight to the smallest point of its set, before and after."""
+    while a.size:
+        lo, hi = np.minimum(root[a], root[b]), np.maximum(root[a], root[b])
+        apart = lo != hi
+        np.minimum.at(root, hi[apart], lo[apart])
+        while not np.array_equal(root[root], root):
+            root[:] = root[root]
+        a, b = a[apart], b[apart]
+
+
+def dbscan_partition(points, params: DbscanParams, shape: tuple[int, int]) -> list[np.ndarray]:
     """Cluster pseudo 3D points and rasterize each cluster to a mask.
 
-    DBSCAN where the neighborhood of a point is the set of points inside
-    the pixel_window x pixel_window square around its pixel AND within
-    eps in 3D. Noise points are dropped. Points are processed in (row,
-    col) order, so the result does not depend on the input ordering;
-    output masks are sorted by their top-left foreground pixel.
+    points is any (n, 5) array-like of (row, col, x, y, z), one point per
+    pixel at most. A point's neighbors are the points whose row and column
+    each lie within pixel_window // 2 of its own AND within eps in 3D.
+    Noise points are dropped. The result is sequential DBSCAN's in (row,
+    col) order, whatever the input order; masks are sorted by their
+    top-left foreground pixel.
     """
-    if not points:
+    pts = np.asarray(points, dtype=np.float64)
+    if len(pts) == 0:
         return []
-    pts = sorted(points, key=lambda p: (p.row, p.col))
-    n = len(pts)
-    rows = np.array([p.row for p in pts])
-    cols = np.array([p.col for p in pts])
-    xyz = np.array([[p.x, p.y, p.z] for p in pts], dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 5:
+        raise ValueError(f"points must be (n, 5) rows of (row, col, x, y, z), got {pts.shape}")
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    rows, cols = pts[:, 0].astype(np.int64), pts[:, 1].astype(np.int64)
+    if ((np.diff(rows) == 0) & (np.diff(cols) == 0)).any():
+        raise ValueError("two points share a pixel")
+    xyz, n = np.ascontiguousarray(pts[:, 2:]), len(pts)
 
-    idx_by_pixel: dict[tuple[int, int], list[int]] = {}
-    for j in range(n):
-        idx_by_pixel.setdefault((int(rows[j]), int(cols[j])), []).append(j)
+    degree = np.ones(n, dtype=np.int64)  # a point is its own neighbor
+    for i, j in _neighbor_pairs(rows, cols, xyz, params):
+        degree += np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+    core = degree >= params.min_pts
+    if not core.any():
+        return []
+    # clusters are the core-core components, created in the order of their
+    # first core point, which is each component's root
+    root = np.arange(n)
+    for i, j in _neighbor_pairs(rows, cols, xyz, params):
+        both = core[i] & core[j]
+        _union(root, i[both], j[both])
+    # a border point joins the earliest-created cluster with a core neighbor
+    label = np.where(core, root, n)
+    for i, j in _neighbor_pairs(rows, cols, xyz, params):
+        for a, b in ((i, j), (j, i)):
+            edge = core[a] & ~core[b]
+            np.minimum.at(label, b[edge], root[a[edge]])
 
-    half = params.pixel_window // 2
-    eps2 = params.eps * params.eps
-    UNSEEN, NOISE = -2, -1
-    label = np.full(n, UNSEEN, dtype=np.int64)
-    cid = 0
-    for i in range(n):
-        if label[i] != UNSEEN:
-            continue
-        nb = _window_neighbors(idx_by_pixel, rows, cols, xyz, i, half, eps2)
-        if len(nb) < params.min_pts:
-            label[i] = NOISE
-            continue
-        label[i] = cid
-        queue = list(nb)
-        k = 0
-        while k < len(queue):
-            j = queue[k]
-            k += 1
-            if label[j] == NOISE:
-                label[j] = cid  # border point adopted by the cluster
-            if label[j] != UNSEEN:
-                continue
-            label[j] = cid
-            nb_j = _window_neighbors(idx_by_pixel, rows, cols, xyz, j, half, eps2)
-            if len(nb_j) >= params.min_pts:
-                queue.extend(nb_j)
-        cid += 1
-
+    member = np.argsort(label, kind="stable")[:np.count_nonzero(label < n)]
     out = []
-    for c in range(cid):
-        member = label == c
+    for g in np.split(member, np.flatnonzero(np.diff(label[member])) + 1):
         mask = np.zeros(shape, dtype=bool)
-        mask[rows[member], cols[member]] = True
-        out.append((int(rows[member].min()), int(cols[member].min()), mask))
+        mask[rows[g], cols[g]] = True
+        out.append((int(rows[g].min()), int(cols[g].min()), mask))
     out.sort(key=lambda t: (t[0], t[1]))
     return [m for _, _, m in out]
 

@@ -15,7 +15,8 @@ import zlib
 import numpy as np
 
 import conftest
-from oracles import ap101_ref, dbscan_matrix_ref, greedy_match_ref, mask_agg_literal
+import oracles
+from oracles import ap101_ref, dbscan_matrix_ref, greedy_match_ref, iou_ref, mask_agg_literal
 
 from mobilabel.aggregate import AggParams, mask_agg
 from mobilabel.cli import main
@@ -25,7 +26,6 @@ from mobilabel.initlabel import (
     DbscanParams,
     InstanceLabel,
     LabelSet,
-    PixelPoint3,
     dbscan_partition,
     make_initial_labels,
     project,
@@ -151,7 +151,7 @@ def test_clustering_matches_brute_force_partition():
         d = rng.choice(np.array([5.0, 12.0, 30.0]), size=n) + rng.normal(0.0, 0.05, n)
         x = (cols - grid_w / 2.0) / f * d
         y = (rows - grid_h / 2.0) / f * d
-        points = [PixelPoint3(int(r), int(c), float(xi), float(yi), float(zi))
+        points = [(int(r), int(c), float(xi), float(yi), float(zi))
                   for r, c, xi, yi, zi in zip(rows, cols, x, y, d)]
         params = DbscanParams(eps=float(rng.choice(eps_pool)),
                               min_pts=int(rng.choice(min_pts_pool)),
@@ -257,8 +257,15 @@ def test_aggregation_matches_literal_interpreter():
 # -- 4. evaluation metrics ----------------------------------------------------
 
 @criterion("AR/AP equal the exhaustive matching oracle within 1e-9")
-def test_metrics_agree_with_bruteforce_oracle():
+def test_metrics_agree_with_bruteforce_oracle(monkeypatch):
     t0 = time.perf_counter()
+    seen = {}  # the pixel-loop IoU oracle, computed once per mask pair
+
+    def cached_iou_ref(a, b):
+        if (id(a), id(b)) not in seen:  # the entry keeps both arrays, so ids stay unique
+            seen[id(a), id(b)] = (a, b, iou_ref(a, b))
+        return seen[id(a), id(b)][2]
+    monkeypatch.setattr(oracles, "iou_ref", cached_iou_ref)
     rng = np.random.default_rng(4004)
     H = W = 64
 
@@ -287,6 +294,8 @@ def test_metrics_agree_with_bruteforce_oracle():
             InstanceLabel.from_mask(m, s, i) for i, (m, s) in enumerate(preds)]))
 
     r = evaluate(pred_frames, gt_frames)
+    masks = [([i.mask_array() for i in pf.instances], [i.mask_array() for i in gf.instances])
+             for pf, gf in zip(pred_frames, gt_frames)]
 
     worst = 0.0
     ar_means, ap_means = [], []
@@ -294,10 +303,8 @@ def test_metrics_agree_with_bruteforce_oracle():
         matched_total = 0
         n_gt = 0
         pooled = []
-        for pf, gf in zip(pred_frames, gt_frames):
-            pm = [inst.mask_array() for inst in pf.instances]
+        for pf, gf, (pm, gm) in zip(pred_frames, gt_frames, masks):
             ps = [inst.score for inst in pf.instances]
-            gm = [inst.mask_array() for inst in gf.instances]
             match = greedy_match_ref(pm, ps, gm, thr)
             matched_total += len(match)
             n_gt += len(gm)

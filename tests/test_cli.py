@@ -373,3 +373,21 @@ def test_config_conflicting_with_explicit_exclusive_flag_is_usage_error(dataset,
     assert run("filter", "--config", cfg, "--labels", dataset / "labels",
                "--conf", 0.5, "--out", tmp_path / "o") == 0
     assert len(list((tmp_path / "o").glob("*.json"))) == 3
+
+
+def test_config_satisfies_required_exclusive_group(dataset, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"conf": 0.5}))
+    assert run("filter", "--config", cfg, "--labels", dataset / "labels",
+               "--out", tmp_path / "c") == 0
+    assert run("filter", "--conf", 0.5, "--labels", dataset / "labels",
+               "--out", tmp_path / "f") == 0
+    assert tree_bytes(tmp_path / "c") == tree_bytes(tmp_path / "f")
+    assert len(tree_bytes(tmp_path / "c")) == 3
+
+
+def test_config_abbreviated_flag_is_usage_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"frames": 1}))
+    assert run("synth", "--confi", cfg, "--out", tmp_path / "o") == 2
+    assert not (tmp_path / "o").exists()

@@ -9,7 +9,6 @@ from mobilabel.initlabel import (
     DbscanParams,
     InstanceLabel,
     LabelSet,
-    PixelPoint3,
     binarize_motion,
     contour_partition,
     dbscan_partition,
@@ -29,7 +28,7 @@ def masks_to_pixel_sets(masks):
 
 
 def clusters_from_ref(points, params):
-    ordered = sorted(points, key=lambda p: (p.row, p.col))
+    ordered = sorted(points, key=lambda p: (p[0], p[1]))
     return set(dbscan_ref(ordered, params.eps, params.min_pts, params.pixel_window))
 
 
@@ -58,7 +57,7 @@ def test_unproject_identity_intrinsics():
     moving = np.zeros((5, 5), dtype=bool)
     moving[3, 2] = True
     (p,) = unproject(depth, k, moving)
-    assert p == PixelPoint3(row=3, col=2, x=8.0, y=12.0, z=4.0)
+    assert tuple(p) == (3, 2, 8.0, 12.0, 4.0)
 
 
 def test_unproject_principal_point():
@@ -67,7 +66,7 @@ def test_unproject_principal_point():
     moving = np.zeros((3, 3), dtype=bool)
     moving[1, 1] = True
     (p,) = unproject(depth, k, moving)
-    assert (p.x, p.y, p.z) == (0.0, 0.0, 5.0)
+    assert tuple(p[2:]) == (0.0, 0.0, 5.0)
 
 
 def test_unproject_nonpositive_depth():
@@ -177,8 +176,8 @@ def test_dbscan_matches_bruteforce_on_random_scenes(seed):
                          cx=w / 2, cy=h / 2)
     params = DbscanParams(
         eps=float(rng.choice([0.4, 1.0, 2.5])),
-        min_pts=int(rng.integers(1, 7)),
-        pixel_window=int(rng.choice([3, 5, 7, 10])),
+        min_pts=int(rng.integers(1, 9)),
+        pixel_window=int(rng.choice([1, 2, 3, 5, 7, 10, 11])),
     )
     pts = unproject(depth, k, moving)
     got = dbscan_partition(pts, params, (h, w))
@@ -199,16 +198,36 @@ def test_dbscan_invariant_to_point_order(seed):
     moving = rng.random((20, 20)) < 0.25
     depth = rng.choice([5.0, 20.0], size=(20, 20))
     pts = points_from(depth, moving)
-    if not pts:
+    if len(pts) == 0:
         return
     params = DbscanParams(eps=1.5, min_pts=3, pixel_window=7)
     base = dbscan_partition(pts, params, moving.shape)
-    shuffled = list(pts)
+    shuffled = [tuple(p) for p in pts]  # a list of tuples clusters like the array
     rng.shuffle(shuffled)
     perm = dbscan_partition(shuffled, params, moving.shape)
     assert len(base) == len(perm)
     for a, b in zip(base, perm):
         assert np.array_equal(a, b)
+
+
+def test_dbscan_border_point_joins_earliest_created_cluster():
+    # the border point (1, 4) is within eps of core (2, 3) of cluster A and
+    # core (1, 3) of cluster B; A is created first, at (0, 0), so the point
+    # joins A although B's neighbor of it comes first in (row, col) order
+    a = [(0, 0, 0.0), (0, 1, 0.1), (0, 2, 0.2), (2, 3, 0.3)]
+    b = [(1, 0, 2.5), (1, 1, 2.4), (1, 2, 2.3), (1, 3, 2.2)]
+    pts = [(r, c, x, 0.0, 10.0) for r, c, x in a + b + [(1, 4, 1.25)]]
+    params = DbscanParams(eps=1.0, min_pts=4, pixel_window=11)
+    got = dbscan_partition(pts, params, (3, 5))
+    assert [set(zip(*np.nonzero(m))) for m in got] == [
+        {(0, 0), (0, 1), (0, 2), (2, 3), (1, 4)}, {(1, 0), (1, 1), (1, 2), (1, 3)}]
+    assert masks_to_pixel_sets(got) == clusters_from_ref(pts, params)
+
+
+def test_dbscan_rejects_two_points_on_one_pixel():
+    pts = [(1, 1, 0.0, 0.0, 5.0), (2, 2, 0.0, 0.1, 5.0), (1, 1, 0.1, 0.0, 5.0)]
+    with pytest.raises(ValueError):
+        dbscan_partition(pts, DbscanParams(), (4, 4))
 
 
 # -- contour baseline ---------------------------------------------------
