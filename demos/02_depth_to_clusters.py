@@ -10,7 +10,7 @@ import numpy as np
 
 from mobilabel import (
     DbscanParams,
-    contour_partition,
+    connected_components,
     dbscan_partition,
     make_initial_labels,
     mask_area,
@@ -23,7 +23,7 @@ print("frame:", depth.shape, "intrinsics: fx=%.1f fy=%.1f cx=%.1f cy=%.1f" % (k.
 print("moving pixels:", int((motion >= 0.5).sum()))
 
 # 2D contouring sees one merged component
-flat = contour_partition(motion >= 0.5)
+flat = connected_components(motion >= 0.5, connectivity=8)
 print("contour components:", len(flat))
 
 # lifting to 3D separates the blocks by depth

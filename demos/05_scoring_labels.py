@@ -10,7 +10,6 @@ from mobilabel import (
     DetectorNoise,
     EvalConfig,
     SceneSpec,
-    attribute_split_ar,
     evaluate,
     generate_scene,
     mock_detector,
@@ -40,5 +39,5 @@ ideal = evaluate(gt, gt)
 print("self eval: AR %.1f AP %.1f" % (ideal.ar, ideal.ap))
 
 # recall split by the moving attribute, at the loose end of the grid
-split = attribute_split_ar(preds, gt, EvalConfig(iou_thresholds=(0.5,)))
+split = evaluate(preds, gt, EvalConfig(iou_thresholds=(0.5,)), with_attributes=True).ar_by_attribute
 print("AR@0.5 moving %.3f  static %.3f" % (split["moving"], split["static"]))

@@ -20,7 +20,6 @@ from mobilabel import (
     EvalConfig,
     LabelSet,
     SceneSpec,
-    attribute_split_ar,
     default_stages,
     evaluate,
     generate_scene,
@@ -64,7 +63,7 @@ with tempfile.TemporaryDirectory() as tmp:
 # brings the small objects back via the quarter-scale pass
 at50 = EvalConfig(iou_thresholds=(0.5,))
 for name in ("l0", "moving2mobile", "large2small", "final"):
-    rep = evaluate(stages[name], gt, at50)
-    split = attribute_split_ar(stages[name], gt, at50)
+    rep = evaluate(stages[name], gt, at50, with_attributes=True)
+    split = rep.ar_by_attribute
     print("%-14s AR %.3f  moving %.3f  static %.3f  small %.3f" % (
         name, rep.ar, split["moving"], split["static"], rep.ar_by_size["S"]))

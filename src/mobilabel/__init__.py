@@ -12,8 +12,6 @@ from .aggregate import (
     AggParams,
     mask_agg,
     nms,
-    remove_larger_overlapping,
-    remove_smaller_overlapping,
 )
 from .initlabel import (
     CameraIntrinsics,
@@ -21,7 +19,6 @@ from .initlabel import (
     InstanceLabel,
     LabelSet,
     binarize_motion,
-    contour_partition,
     dbscan_partition,
     make_initial_labels,
     project,
@@ -46,9 +43,7 @@ from .metrics import (
     COCO_THRESHOLDS,
     EvalConfig,
     EvalReport,
-    attribute_split_ar,
     evaluate,
-    match_instances,
     size_bucket,
 )
 from .rescale import (
@@ -83,14 +78,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AggParams", "BBox", "COCO_THRESHOLDS", "CameraIntrinsics", "DatasetLayout",
     "DbscanParams", "DetectorExchange", "DetectorNoise", "EvalConfig", "EvalReport",
-    "InstanceLabel", "LabelSet", "PreparedMask", "Rle", "RoundConfig",
-    "STAGES", "ScaleTransform", "SceneSpec", "attribute_split_ar", "bbox_of",
-    "binarize_motion", "box_iou", "build_round", "connected_components",
-    "contour_partition", "coverage", "dbscan_partition", "default_config_snapshot",
-    "default_stages", "evaluate", "generate_scene", "gt_overlap_filter", "intersection",
-    "invert_labels", "iou", "make_initial_labels", "make_transform", "mask_agg",
-    "mask_area", "match_instances", "mock_detector", "nms", "occlusion_fixture",
-    "project", "remove_larger_overlapping", "remove_smaller_overlapping", "rle_decode",
-    "rle_encode", "run_pipeline", "scene_intrinsics", "size_bucket", "threshold_filter",
-    "transform_labels", "transform_raster", "unproject",
+    "InstanceLabel", "LabelSet", "PreparedMask", "Rle", "RoundConfig", "STAGES",
+    "ScaleTransform", "SceneSpec", "bbox_of", "binarize_motion", "box_iou",
+    "build_round", "connected_components", "coverage", "dbscan_partition",
+    "default_config_snapshot", "default_stages", "evaluate", "generate_scene",
+    "gt_overlap_filter", "intersection", "invert_labels", "iou", "make_initial_labels",
+    "make_transform", "mask_agg", "mask_area", "mock_detector", "nms",
+    "occlusion_fixture", "project", "rle_decode", "rle_encode", "run_pipeline",
+    "scene_intrinsics", "size_bucket", "threshold_filter", "transform_labels",
+    "transform_raster", "unproject",
 ]

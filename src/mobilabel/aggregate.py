@@ -22,8 +22,6 @@ from .maskcore import PreparedMask, coverage, intersection, iou
 
 __all__ = [
     "AggParams",
-    "remove_smaller_overlapping",
-    "remove_larger_overlapping",
     "mask_agg",
     "nms",
 ]
@@ -87,18 +85,6 @@ def _filter_larger(prepared: list[_Prepared], filt_frac: float) -> list[_Prepare
     return [a for a in prepared if not any(
         b.mask.area < a.mask.area and intersection(a.mask, b.mask) / b.mask.area > filt_frac
         for b in prepared if b is not a)]
-
-
-def remove_smaller_overlapping(ml: LabelSet, filt_frac: float) -> LabelSet:
-    """Drop any instance covered beyond filt_frac by one strictly larger
-    instance; survivors keep their masks, scores and ids."""
-    return _emit(ml, _filter_smaller(_prepare(ml, 0), filt_frac), reassign=False)
-
-
-def remove_larger_overlapping(ms: LabelSet, filt_frac: float) -> LabelSet:
-    """Drop any instance that alone covers a strictly smaller instance
-    beyond filt_frac; survivors are unchanged."""
-    return _emit(ms, _filter_larger(_prepare(ms, 1), filt_frac), reassign=False)
 
 
 def mask_agg(ml: LabelSet, ms: LabelSet, p: AggParams) -> LabelSet:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveDepth
-from .maskcore import BBox, Rle, bbox_of, connected_components, rle_decode, rle_encode
+from .maskcore import BBox, PreparedMask, Rle
 
 __all__ = [
     "CameraIntrinsics",
@@ -26,7 +26,6 @@ __all__ = [
     "unproject",
     "project",
     "dbscan_partition",
-    "contour_partition",
     "make_initial_labels",
 ]
 
@@ -84,14 +83,14 @@ class InstanceLabel:
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
 
     @classmethod
-    def from_mask(cls, mask: np.ndarray, score: float, instance_id: int,
+    def from_mask(cls, mask, score: float, instance_id: int,
                   attributes: dict | None = None) -> "InstanceLabel":
-        """Build from a binary mask with the tight box derived from it."""
-        return cls(mask=rle_encode(mask), box=bbox_of(mask), score=score,
+        """Build from a :class:`PreparedMask` or a frame-sized binary mask,
+        with the tight box derived from it."""
+        if not isinstance(mask, PreparedMask):
+            mask = PreparedMask.from_bits(mask, 0, 0, np.shape(mask))
+        return cls(mask=mask.rle(), box=mask.box, score=score,
                    instance_id=instance_id, attributes=attributes)
-
-    def mask_array(self) -> np.ndarray:
-        return rle_decode(self.mask)
 
     @property
     def area(self) -> int:
@@ -190,15 +189,21 @@ def _union(root, a, b):
 
 
 def dbscan_partition(points, params: DbscanParams, shape: tuple[int, int]) -> list[np.ndarray]:
-    """Cluster pseudo 3D points and rasterize each cluster to a mask.
+    """Cluster pseudo 3D points and rasterize each cluster to a frame-sized mask.
 
     points is any (n, 5) array-like of (row, col, x, y, z), one point per
     pixel at most. A point's neighbors are the points whose row and column
     each lie within pixel_window // 2 of its own AND within eps in 3D.
     Noise points are dropped. The result is sequential DBSCAN's in (row,
-    col) order, whatever the input order; masks are sorted by their
-    top-left foreground pixel.
+    col) order, whatever the input order; masks are sorted by the top-left
+    corner of their bounding box, (min row, min col), which may be
+    background.
     """
+    return [p.frame() for p in _clusters(points, params, shape)]
+
+
+def _clusters(points, params: DbscanParams, shape: tuple[int, int]) -> list[PreparedMask]:
+    """:func:`dbscan_partition`'s clusters as box-domain masks, in its order."""
     pts = np.asarray(points, dtype=np.float64)
     if len(pts) == 0:
         return []
@@ -232,16 +237,11 @@ def dbscan_partition(points, params: DbscanParams, shape: tuple[int, int]) -> li
     member = np.argsort(label, kind="stable")[:np.count_nonzero(label < n)]
     out = []
     for g in np.split(member, np.flatnonzero(np.diff(label[member])) + 1):
-        mask = np.zeros(shape, dtype=bool)
-        mask[rows[g], cols[g]] = True
-        out.append((int(rows[g].min()), int(cols[g].min()), mask))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return [m for _, _, m in out]
-
-
-def contour_partition(moving: np.ndarray) -> list[np.ndarray]:
-    """Depth-blind baseline: 8-connected components of the motion blob."""
-    return connected_components(moving, connectivity=8)
+        r, c = rows[g] - rows[g].min(), cols[g] - cols[g].min()
+        bits = np.zeros((r.max() + 1, c.max() + 1), dtype=bool)
+        bits[r, c] = True
+        out.append(PreparedMask.from_bits(bits, rows[g].min(), cols[g].min(), shape))
+    return sorted(out, key=lambda p: (p.row, p.col))
 
 
 def make_initial_labels(depth: np.ndarray, motion: np.ndarray, k: CameraIntrinsics,
@@ -258,10 +258,9 @@ def make_initial_labels(depth: np.ndarray, motion: np.ndarray, k: CameraIntrinsi
         raise DimensionMismatch(f"depth {depth.shape} vs motion {motion.shape}")
     moving = binarize_motion(motion, motion_threshold)
     points = unproject(depth, k, moving)
-    masks = dbscan_partition(points, params, shape=moving.shape)
     instances = []
-    for m in masks:
-        if int(np.count_nonzero(m)) < min_area:
+    for m in _clusters(points, params, moving.shape):
+        if m.area < min_area:
             continue
         instances.append(InstanceLabel.from_mask(m, score=1.0, instance_id=len(instances)))
     h, w = moving.shape

@@ -29,7 +29,7 @@ from .errors import (
     TruncatedFile,
 )
 from .initlabel import CameraIntrinsics, InstanceLabel, LabelSet
-from .maskcore import BBox, Rle, bbox_of, rle_decode
+from .maskcore import BBox, PreparedMask, Rle
 from .rescale import ScaleTransform
 
 __all__ = [
@@ -295,10 +295,10 @@ def read_labels(path, box_tol: float | None = None) -> LabelSet:
         rle = Rle(height=height, width=width, counts=tuple(counts))
         box = BBox(*box_vals)
         if box_tol is not None:
-            mask = rle_decode(rle)
-            if not mask.any():
+            fg = PreparedMask(rle)
+            if not fg.area:
                 raise BoxMaskInconsistency(f"{path}: instance {iid} has an empty mask but a box")
-            tight = bbox_of(mask)
+            tight = fg.box
             err = max(abs(box.x - tight.x), abs(box.y - tight.y),
                       abs(box.w - tight.w), abs(box.h - tight.h))
             if err > box_tol:

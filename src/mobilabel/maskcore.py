@@ -1,10 +1,11 @@
 """Binary-mask primitives: RLE codec, IoU, coverage, components, boxes.
 
 A binary mask is a 2D ``numpy`` array of ``bool`` with shape (height,
-width). Stored masks are :class:`Rle`. For set operations a mask is
-decoded once into a :class:`PreparedMask`, its tight-box bitmap, and
-every mask IoU and coverage in the package is :func:`intersection`,
-:func:`iou` or :func:`coverage` over prepared masks.
+width). Stored masks are :class:`Rle`. :class:`PreparedMask`, a mask's
+tight-box bitmap, is the one codec both ways, so label producers work on
+crops, and every mask IoU and coverage is :func:`intersection`,
+:func:`iou` or :func:`coverage` over prepared masks. :func:`rle_encode`,
+:func:`rle_decode` and :func:`bbox_of` are frame-array adapters over it.
 """
 
 from __future__ import annotations
@@ -88,15 +89,7 @@ def rle_encode(mask: np.ndarray) -> Rle:
     The inverse of :func:`rle_decode`; the round trip is bit-exact.
     """
     mask = _check_mask(mask)
-    h, w = mask.shape
-    flat = mask.flatten(order="F")
-    # run boundaries: indices where the value changes
-    change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    bounds = np.concatenate(([0], change, [flat.size]))
-    counts = np.diff(bounds).tolist()
-    if flat[0]:
-        counts = [0] + counts
-    return Rle(height=h, width=w, counts=tuple(counts))
+    return PreparedMask.from_bits(mask, 0, 0, mask.shape).rle()
 
 
 def rle_decode(rle: Rle) -> np.ndarray:
@@ -105,10 +98,7 @@ def rle_decode(rle: Rle) -> np.ndarray:
     Raises :class:`~mobilabel.errors.SumMismatch` when the counts do not
     sum to ``height * width``.
     """
-    _check_counts(rle)
-    values = np.arange(len(rle.counts), dtype=np.int64) % 2 == 1
-    flat = np.repeat(values, np.asarray(rle.counts, dtype=np.int64))
-    return flat.reshape((rle.width, rle.height)).T
+    return PreparedMask(rle).frame()
 
 
 def mask_area(mask: np.ndarray) -> int:
@@ -135,8 +125,9 @@ class PreparedMask:
     ``bits`` is the (rows, cols) bitmap of the box whose top-left pixel is
     (``row``, ``col``) in the frame, ``area`` its foreground count and
     ``shape`` the frame size. An empty mask has a 0x0 bitmap. Built
-    straight from the runs, so only a mask whose box spans the whole
-    frame allocates a frame-sized array.
+    straight from the runs, or by :meth:`from_bits` from a placed bitmap,
+    and encoded back by :meth:`rle`, so only a mask whose box spans the
+    whole frame allocates a frame-sized array.
     """
 
     __slots__ = ("bits", "row", "col", "area", "shape")
@@ -168,6 +159,55 @@ class PreparedMask:
                                  [rows * cols]))
         values = np.arange(bounds.size - 1) % 2 == 1
         self.bits = np.repeat(values, np.diff(bounds)).reshape((cols, rows)).T
+
+    @classmethod
+    def from_bits(cls, bits, row: int, col: int, shape: tuple[int, int]) -> "PreparedMask":
+        """The mask of a bitmap whose top-left pixel sits at (row, col) in a
+        frame of ``shape``, trimmed to its tight box (a view of ``bits``).
+        Raises ``ValueError`` for foreground outside the frame."""
+        bits = np.asarray(bits, dtype=bool)
+        if bits.ndim != 2:
+            raise ValueError(f"bits must be a 2D array, got shape {bits.shape}")
+        self = cls.__new__(cls)
+        self.shape = (int(shape[0]), int(shape[1]))
+        rows, cols = np.flatnonzero(bits.any(axis=1)), np.flatnonzero(bits.any(axis=0))
+        if not rows.size:
+            self.bits, self.row, self.col, self.area = np.zeros((0, 0), dtype=bool), 0, 0, 0
+            return self
+        self.bits = bits[rows[0]: rows[-1] + 1, cols[0]: cols[-1] + 1]
+        self.row, self.col = int(row) + int(rows[0]), int(col) + int(cols[0])
+        self.area = int(np.count_nonzero(self.bits))
+        r1, c1 = self.row + self.bits.shape[0], self.col + self.bits.shape[1]
+        if min(self.row, self.col) < 0 or r1 > self.shape[0] or c1 > self.shape[1]:
+            raise ValueError(f"foreground [{self.row}:{r1}, {self.col}:{c1}] lies outside "
+                             f"the {self.shape} frame")
+        return self
+
+    def rle(self) -> Rle:
+        """Column-major runs over the frame; the inverse of ``PreparedMask(rle)``."""
+        h, w = self.shape
+        framed = np.zeros((self.bits.shape[1], self.bits.shape[0] + 2), dtype=np.int8)
+        framed[:, 1:-1] = self.bits.T
+        # run starts and ends per box column, as column-major frame offsets
+        c, r = np.nonzero(np.diff(framed, axis=1))
+        bounds, n = np.unique((self.col + c) * h + self.row + r, return_counts=True)
+        # an end and a start that meet across a column edge are one run
+        counts = np.diff(np.concatenate(([0], bounds[n == 1], [h * w])))
+        return Rle(height=h, width=w, counts=counts[:-1] if counts[-1] == 0 else counts)
+
+    @property
+    def box(self) -> BBox:
+        """Tight bounding box; raises :class:`~mobilabel.errors.EmptyMask` when empty."""
+        if not self.area:
+            raise EmptyMask("cannot compute the bounding box of an empty mask")
+        rows, cols = self.bits.shape
+        return BBox(x=float(self.col), y=float(self.row), w=float(cols), h=float(rows))
+
+    def frame(self) -> np.ndarray:
+        """The mask pasted into a frame-sized bool array."""
+        out = np.zeros(self.shape, dtype=bool)
+        out[self.row: self.row + self.bits.shape[0], self.col: self.col + self.bits.shape[1]] = self.bits
+        return out
 
 
 def _window(a: PreparedMask, b: PreparedMask):
@@ -253,9 +293,4 @@ def bbox_of(mask: np.ndarray) -> BBox:
     Raises :class:`~mobilabel.errors.EmptyMask` for an all-zero mask.
     """
     mask = _check_mask(mask)
-    rows, cols = np.nonzero(mask)
-    if rows.size == 0:
-        raise EmptyMask("cannot compute the bounding box of an empty mask")
-    y0, y1 = int(rows.min()), int(rows.max())
-    x0, x1 = int(cols.min()), int(cols.max())
-    return BBox(x=float(x0), y=float(y0), w=float(x1 - x0 + 1), h=float(y1 - y0 + 1))
+    return PreparedMask.from_bits(mask, 0, 0, mask.shape).box

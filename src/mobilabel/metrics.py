@@ -35,9 +35,7 @@ __all__ = [
     "EvalConfig",
     "EvalReport",
     "size_bucket",
-    "match_instances",
     "evaluate",
-    "attribute_split_ar",
     "COCO_THRESHOLDS",
 ]
 
@@ -145,12 +143,6 @@ def _match_frame(preds: LabelSet, gt: LabelSet, mode: str, thresholds,
     return ordered, [_greedy(iou, gt.instances, t) for t in thresholds]
 
 
-def match_instances(preds: LabelSet, gt: LabelSet, iou_thrd: float, mode: str = "mask") -> dict[int, int]:
-    """Greedy matching for one frame: prediction id -> ground-truth id."""
-    ordered, (raw,) = _match_frame(preds, gt, mode, (iou_thrd,))
-    return {ordered[i].instance_id: gt.instances[j].instance_id for i, j in raw.items()}
-
-
 def _ap101(hit: np.ndarray, n_gt: int) -> float:
     """101-point interpolated AP of a ranked hit vector against n_gt ground truth."""
     if n_gt == 0 or not len(hit):
@@ -247,9 +239,3 @@ def evaluate(preds: list[LabelSet], gt: list[LabelSet], cfg: EvalConfig = EvalCo
         report.ar_by_attribute = {a: float(np.mean(recall[a])) for a in attrs}
         report.gt_by_attribute = {a: counts[a] for a in attrs}
     return report
-
-
-def attribute_split_ar(preds: list[LabelSet], gt: list[LabelSet],
-                       cfg: EvalConfig = EvalConfig()) -> dict[str, float]:
-    """AR over all / static / moving ground truth; predictions unfiltered."""
-    return evaluate(preds, gt, cfg, with_attributes=True).ar_by_attribute

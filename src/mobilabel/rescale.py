@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InstanceInPadding
 from .initlabel import InstanceLabel, LabelSet
-from .maskcore import BBox, PreparedMask, rle_decode, rle_encode
+from .maskcore import BBox, PreparedMask
 
 __all__ = [
     "ScaleTransform",
@@ -109,12 +109,15 @@ def transform_labels(labels: LabelSet, t: ScaleTransform) -> LabelSet:
     rows, cols = _nn_rows_cols(t)
     out = []
     for inst in labels.instances:
-        mask = rle_decode(inst.mask)
-        small = np.zeros_like(mask)
-        small[: t.content_height, : t.content_width] = mask[np.ix_(rows, cols)]
-        if not small.any():
+        fg = PreparedMask(inst.mask)
+        # the content pixels sampling the box form one span: sources never decrease
+        r0, r1 = np.searchsorted(rows, (fg.row, fg.row + fg.bits.shape[0]))
+        c0, c1 = np.searchsorted(cols, (fg.col, fg.col + fg.bits.shape[1]))
+        small = fg.bits[np.ix_(rows[r0:r1] - fg.row, cols[c0:c1] - fg.col)]
+        small = PreparedMask.from_bits(small, r0, c0, fg.shape)
+        if not small.area:
             continue
-        out.append(replace(inst, mask=rle_encode(small), box=_scale_box(inst.box, t.scale)))
+        out.append(replace(inst, mask=small.rle(), box=_scale_box(inst.box, t.scale)))
     return LabelSet(labels.frame_id, labels.height, labels.width, out)
 
 
@@ -158,13 +161,13 @@ def invert_labels(labels: LabelSet, t: ScaleTransform) -> LabelSet:
         c0 = int(round(box.x))
         nrows = max(1, int(round(box.h)))
         ncols = max(1, int(round(box.w)))
-        big = np.zeros((t.orig_height, t.orig_width), dtype=bool)
         rr0, cc0 = max(r0, 0), max(c0, 0)
         rr1, cc1 = min(r0 + nrows, t.orig_height), min(c0 + ncols, t.orig_width)
-        if rr1 > rr0 and cc1 > cc0:
-            resized = _nn_resize(crop, nrows, ncols)
-            big[rr0:rr1, cc0:cc1] = resized[rr0 - r0: rr1 - r0, cc0 - c0: cc1 - c0]
-        if not big.any():
+        if rr1 <= rr0 or cc1 <= cc0:
             continue
-        out.append(replace(inst, mask=rle_encode(big), box=box))
+        resized = _nn_resize(crop, nrows, ncols)
+        big = PreparedMask.from_bits(resized[rr0 - r0: rr1 - r0, cc0 - c0: cc1 - c0], rr0, cc0, fg.shape)
+        if not big.area:
+            continue
+        out.append(replace(inst, mask=big.rle(), box=box))
     return LabelSet(labels.frame_id, labels.height, labels.width, out)

@@ -22,6 +22,7 @@ from scipy import ndimage
 
 from .errors import PlacementFailure
 from .initlabel import CameraIntrinsics, InstanceLabel, LabelSet
+from .maskcore import PreparedMask
 
 
 @dataclass(frozen=True)
@@ -140,13 +141,13 @@ def generate_scene(spec: SceneSpec, frame_index: int = 0):
     motion = np.zeros((h, w), dtype=np.float64)
     instances = []
     for i, (y0, x0, local, d) in enumerate(placed):
-        mask = np.zeros((h, w), dtype=bool)
-        mask[y0:y0 + local.shape[0], x0:x0 + local.shape[1]] = local
-        depth[mask] = d
+        box = np.s_[y0:y0 + local.shape[0], x0:x0 + local.shape[1]]
+        depth[box][local] = d
         if moving[i]:
-            motion[mask] = 1.0
+            motion[box][local] = 1.0
         instances.append(InstanceLabel.from_mask(
-            mask, 1.0, i, attributes={"moving": bool(moving[i])}))
+            PreparedMask.from_bits(local, y0, x0, (h, w)), 1.0, i,
+            attributes={"moving": bool(moving[i])}))
 
     if spec.depth_sigma > 0.0:
         depth = depth + rng.normal(0.0, spec.depth_sigma, size=(h, w))
@@ -219,15 +220,6 @@ class DetectorNoise:
             raise ValueError("fp_size must be positive")
 
 
-def _shift_mask(mask: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    h, w = mask.shape
-    out = np.zeros_like(mask)
-    ys = slice(max(0, dy), min(h, h + dy))
-    xs = slice(max(0, dx), min(w, w + dx))
-    out[ys, xs] = mask[max(0, -dy):min(h, h - dy), max(0, -dx):min(w, w - dx)]
-    return out
-
-
 def _sample_score(noise: DetectorNoise, rng: np.random.Generator) -> float:
     if noise.score_sigma == 0.0:
         return noise.score_mean
@@ -253,13 +245,16 @@ def mock_detector(gt: LabelSet, noise: DetectorNoise, rng: np.random.Generator,
     for inst in gt.instances:
         if rng.random() < noise.dropout:
             continue
-        mask = inst.mask_array()
+        mask = PreparedMask(inst.mask)
         if noise.mask_jitter > 0:
             dy, dx = rng.integers(-noise.mask_jitter, noise.mask_jitter + 1, size=2)
-            shifted = _shift_mask(mask, int(dy), int(dx))
+            r, c = mask.row + int(dy), mask.col + int(dx)
+            clipped = mask.bits[max(0, -r): max(0, gt.height - r), max(0, -c): max(0, gt.width - c)]
+            shifted = PreparedMask.from_bits(clipped, max(r, 0), max(c, 0), mask.shape)
             # a border clip can erase or displace the mask out of the
             # allowed region; keep the original placement in that case
-            if shifted.any() and not (shifted[rh:, :].any() or shifted[:, rw:].any()):
+            rows, cols = shifted.bits.shape
+            if shifted.area and shifted.row + rows <= rh and shifted.col + cols <= rw:
                 mask = shifted
         attrs = dict(inst.attributes) if inst.attributes is not None else None
         out.append(InstanceLabel.from_mask(
@@ -270,7 +265,6 @@ def mock_detector(gt: LabelSet, noise: DetectorNoise, rng: np.random.Generator,
     for k in range(noise.false_positives):
         y0 = int(rng.integers(0, rh - side + 1))
         x0 = int(rng.integers(0, rw - side + 1))
-        fp = np.zeros((gt.height, gt.width), dtype=bool)
-        fp[y0:y0 + side, x0:x0 + side] = True
+        fp = PreparedMask.from_bits(np.ones((side, side), dtype=bool), y0, x0, (gt.height, gt.width))
         out.append(InstanceLabel.from_mask(fp, _sample_score(noise, rng), next_id + k))
     return LabelSet(gt.frame_id, gt.height, gt.width, out)

@@ -43,8 +43,8 @@ from mobilabel.io import (
     write_motion,
     write_transform,
 )
-from mobilabel.maskcore import PreparedMask, iou, rle_encode
-from mobilabel.metrics import COCO_THRESHOLDS, EvalConfig, attribute_split_ar, evaluate
+from mobilabel.maskcore import PreparedMask, iou, rle_decode, rle_encode
+from mobilabel.metrics import COCO_THRESHOLDS, EvalConfig, evaluate
 from mobilabel.rescale import ScaleTransform, invert_labels, make_transform, transform_labels
 from mobilabel.rounds import default_config_snapshot, default_stages, run_pipeline
 from mobilabel.synthgen import (
@@ -294,7 +294,7 @@ def test_metrics_agree_with_bruteforce_oracle(monkeypatch):
             InstanceLabel.from_mask(m, s, i) for i, (m, s) in enumerate(preds)]))
 
     r = evaluate(pred_frames, gt_frames)
-    masks = [([i.mask_array() for i in pf.instances], [i.mask_array() for i in gf.instances])
+    masks = [([rle_decode(i.mask) for i in pf.instances], [rle_decode(i.mask) for i in gf.instances])
              for pf, gf in zip(pred_frames, gt_frames)]
 
     worst = 0.0
@@ -389,8 +389,8 @@ def test_pipeline_improves_labels_stage_by_stage(tmp_path):
                          detector=make_detector(DetectorNoise()))
 
     at50 = EvalConfig(iou_thresholds=(0.5,))
-    split0 = attribute_split_ar(l0, gt, at50)
-    split1 = attribute_split_ar(noisy["moving2mobile"], gt, at50)
+    split0 = evaluate(l0, gt, at50, with_attributes=True).ar_by_attribute
+    split1 = evaluate(noisy["moving2mobile"], gt, at50, with_attributes=True).ar_by_attribute
     ar_s1 = evaluate(noisy["moving2mobile"], gt, at50).ar_by_size["S"]
     ar_s2 = evaluate(noisy["large2small"], gt, at50).ar_by_size["S"]
     final = evaluate(clean["final"], gt, at50)

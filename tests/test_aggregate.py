@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from mobilabel.aggregate import (
-    AggParams,
-    mask_agg,
-    nms,
-    remove_larger_overlapping,
-    remove_smaller_overlapping,
-)
+from mobilabel.aggregate import AggParams, _filter_larger, _filter_smaller, _prepare, mask_agg, nms
 from mobilabel.errors import DimensionMismatch
 from mobilabel.initlabel import InstanceLabel, LabelSet
 from mobilabel.maskcore import rle_decode
@@ -33,6 +27,18 @@ def content(ls):
     return {(inst.mask.counts, round(inst.score, 12)) for inst in ls.instances}
 
 
+def filter_smaller(ml, filt_frac):
+    """mask_agg's large-set pre-filter on its own."""
+    return LabelSet(ml.frame_id, ml.height, ml.width,
+                    [p.inst for p in _filter_smaller(_prepare(ml, 0), filt_frac)])
+
+
+def filter_larger(ms, filt_frac):
+    """mask_agg's small-set pre-filter on its own."""
+    return LabelSet(ms.frame_id, ms.height, ms.width,
+                    [p.inst for p in _filter_larger(_prepare(ms, 1), filt_frac)])
+
+
 def agg_content(dicts):
     from mobilabel.maskcore import rle_encode
     return {(rle_encode(d["mask"]).counts, round(d["score"], 12)) for d in dicts}
@@ -54,40 +60,40 @@ def test_agg_params_defaults_and_validation():
 def test_remove_smaller_80_percent_inside():
     big = rect(0, 0, 20, 20)
     small = rect(2, 2, 10, 10)  # fully inside: coverage 1.0 > 0.75
-    out = remove_smaller_overlapping(labels((big, 0.9), (small, 0.8)), 0.75)
+    out = filter_smaller(labels((big, 0.9), (small, 0.8)), 0.75)
     assert content(out) == content(labels((big, 0.9)))
 
 
 def test_remove_smaller_keeps_disjoint():
     ls = labels((rect(0, 0, 8, 8), 0.9), (rect(20, 20, 8, 8), 0.8))
-    assert content(remove_smaller_overlapping(ls, 0.75)) == content(ls)
+    assert content(filter_smaller(ls, 0.75)) == content(ls)
 
 
 def test_remove_smaller_70_percent_kept():
     big = rect(0, 0, 20, 20)
     small = rect(2, 14, 10, 10)  # 10x6 inside = 60 of 100 -> 0.6 <= 0.75
     ls = labels((big, 0.9), (small, 0.8))
-    assert content(remove_smaller_overlapping(ls, 0.75)) == content(ls)
+    assert content(filter_smaller(ls, 0.75)) == content(ls)
     # 0.70 exactly is also kept (strict >)
     small7 = rect(2, 13, 10, 10)  # 10x7 inside = 0.7
     ls7 = labels((big, 0.9), (small7, 0.8))
-    assert content(remove_smaller_overlapping(ls7, 0.75)) == content(ls7)
+    assert content(filter_smaller(ls7, 0.75)) == content(ls7)
 
 
 def test_remove_larger_drops_container():
     container = rect(0, 0, 20, 20)
     inner = rect(5, 5, 10, 10)  # container covers it 100% > 0.75
-    out = remove_larger_overlapping(labels((container, 0.9), (inner, 0.8)), 0.75)
+    out = filter_larger(labels((container, 0.9), (inner, 0.8)), 0.75)
     assert content(out) == content(labels((inner, 0.8)))
 
 
 def test_remove_larger_keeps_disjoint_and_equal_area():
     ls = labels((rect(0, 0, 8, 8), 0.9), (rect(20, 20, 8, 8), 0.8))
-    assert content(remove_larger_overlapping(ls, 0.75)) == content(ls)
+    assert content(filter_larger(ls, 0.75)) == content(ls)
     a = rect(0, 0, 8, 8)
     b = rect(0, 4, 8, 8)  # same area, 50% overlap: neither strictly larger
     ls2 = labels((a, 0.9), (b, 0.8))
-    assert content(remove_larger_overlapping(ls2, 0.5)) == content(ls2)
+    assert content(filter_larger(ls2, 0.5)) == content(ls2)
 
 
 # -- mask_agg fixture cases ---------------------------------------------------
@@ -128,7 +134,7 @@ def test_mask_agg_empty_small_set():
     inner = rect(2, 2, 10, 10)  # dropped by the pre-filter
     ml = labels((big, 0.9), (inner, 0.8))
     out = mask_agg(ml, LabelSet("f", H, W, []), DEFAULTS)
-    assert content(out) == content(remove_smaller_overlapping(ml, DEFAULTS.filt_frac))
+    assert content(out) == content(filter_smaller(ml, DEFAULTS.filt_frac))
 
 
 def test_mask_agg_empty_large_set():
@@ -136,7 +142,7 @@ def test_mask_agg_empty_large_set():
     inner = rect(5, 5, 10, 10)
     ms = labels((container, 0.9), (inner, 0.8))
     out = mask_agg(LabelSet("f", H, W, []), ms, DEFAULTS)
-    assert content(out) == content(remove_larger_overlapping(ms, DEFAULTS.filt_frac))
+    assert content(out) == content(filter_larger(ms, DEFAULTS.filt_frac))
 
 
 def test_mask_agg_part_case_keeps_large():

@@ -10,13 +10,12 @@ from mobilabel.initlabel import (
     InstanceLabel,
     LabelSet,
     binarize_motion,
-    contour_partition,
     dbscan_partition,
     make_initial_labels,
     project,
     unproject,
 )
-from mobilabel.maskcore import rle_encode
+from mobilabel.maskcore import PreparedMask, connected_components, rle_decode, rle_encode
 
 from oracles import dbscan_ref
 
@@ -230,13 +229,28 @@ def test_dbscan_rejects_two_points_on_one_pixel():
         dbscan_partition(pts, DbscanParams(), (4, 4))
 
 
-# -- contour baseline ---------------------------------------------------
+def test_dbscan_orders_by_box_corner_not_first_pixel():
+    # a is an L whose box corner (0, 0) is background: its first foreground
+    # pixel in row-major order, (0, 6), comes after b's (0, 2), but its box
+    # corner comes first. Depth alone keeps the two apart.
+    a = np.zeros((8, 10), dtype=bool)
+    a[:, 6] = True
+    a[7, :7] = True
+    b = np.zeros((8, 10), dtype=bool)
+    b[0:3, 2:4] = True
+    pts = [(r, c, 0.0, 0.0, z) for m, z in ((b, 50.0), (a, 5.0)) for r, c in zip(*np.nonzero(m))]
+    got = dbscan_partition(pts, DbscanParams(), (8, 10))
+    assert len(got) == 2
+    assert np.array_equal(got[0], a) and np.array_equal(got[1], b)
+
+
+# -- contour baseline: 8-connected components of the motion blob ------
 
 def test_contour_two_regions():
     moving = np.zeros((10, 10), dtype=bool)
     moving[1:3, 1:3] = True
     moving[6:9, 6:9] = True
-    assert len(contour_partition(moving)) == 2
+    assert len(connected_components(moving, connectivity=8)) == 2
 
 
 def test_contour_merges_depth_separated_objects():
@@ -244,11 +258,11 @@ def test_contour_merges_depth_separated_objects():
     moving = np.zeros((12, 20), dtype=bool)
     moving[2:8, 2:7] = True
     moving[2:8, 7:12] = True
-    assert len(contour_partition(moving)) == 1
+    assert len(connected_components(moving, connectivity=8)) == 1
 
 
 def test_contour_empty():
-    assert contour_partition(np.zeros((5, 5), dtype=bool)) == []
+    assert connected_components(np.zeros((5, 5), dtype=bool), connectivity=8) == []
 
 
 # -- end-to-end L0 ------------------------------------------------------
@@ -289,7 +303,7 @@ def test_make_initial_labels_ignores_static_objects():
     depth[static_mask] = 3.0
     out = make_initial_labels(depth, motion, K_PLAIN, DbscanParams(), min_area=16)
     assert len(out.instances) == 1
-    got = out.instances[0].mask_array()
+    got = rle_decode(out.instances[0].mask)
     assert not (got & static_mask).any()
 
 
@@ -315,9 +329,17 @@ def test_label_set_rejects_foreign_mask_shape():
         LabelSet("f", 4, 4, [a])
 
 
+def test_instance_from_prepared_mask_equals_from_frame():
+    m = np.zeros((6, 9), dtype=bool)
+    m[2:5, 3] = True
+    m[4, 3:8] = True
+    crop = PreparedMask.from_bits(m[1:6, 2:9], 1, 2, m.shape)
+    assert InstanceLabel.from_mask(crop, 0.5, 1) == InstanceLabel.from_mask(m, 0.5, 1)
+
+
 def test_instance_area_from_rle():
     m = np.zeros((4, 4), dtype=bool)
     m[1:3, 1:4] = True
     inst = InstanceLabel.from_mask(m, 1.0, 0)
     assert inst.area == 6
-    assert rle_encode(inst.mask_array()) == inst.mask
+    assert rle_encode(rle_decode(inst.mask)) == inst.mask

@@ -193,7 +193,7 @@ def test_kernel_matches_pixel_oracles(case):
     a, b, refs = case
     pa, pb = prep(a), prep(b)
     for m, p in ((a, pa), (b, pb)):
-        assert np.array_equal(paste(p), rle_decode(rle_encode(m)))
+        assert np.array_equal(paste(p), m)
         assert p.area == int(m.sum())
         if p.area:
             rows, cols = np.nonzero(m)  # the bitmap is the tight box
@@ -203,6 +203,56 @@ def test_kernel_matches_pixel_oracles(case):
     assert iou(pa, pb) == iou_ref(a, b)
     if b.any():
         assert coverage([prep(r) for r in refs + [a]], pb) == coverage_ref(refs + [a], b)
+
+
+# -- prepared masks: encoding a placed bitmap ---------------------------
+
+def _placed(hw):
+    """A bitmap no larger than the frame and an offset that keeps it inside."""
+    h, w = hw
+    return st.tuples(st.integers(1, h), st.integers(1, w)).flatmap(lambda bhw: st.tuples(
+        st.one_of(arrays(bool, bhw), st.sampled_from(_edge_masks(*bhw))),
+        st.integers(0, h - bhw[0]), st.integers(0, w - bhw[1]), st.just(hw)))
+
+
+@given(small_frames.flatmap(_placed))
+@settings(max_examples=300)
+def test_encoder_matches_pixel_oracles(case):
+    bits, r, c, shape = case
+    m = np.zeros(shape, dtype=bool)
+    m[r: r + bits.shape[0], c: c + bits.shape[1]] = bits
+    p = PreparedMask.from_bits(bits, r, c, shape)
+    rle = p.rle()
+    assert (rle.height, rle.width) == shape
+    assert list(rle.counts) == rle_counts_ref(m)
+    assert p.area == int(m.sum())
+    assert np.array_equal(p.frame(), m)
+    if p.area:
+        rows, cols = np.nonzero(m)
+        assert p.box == BBox(x=cols.min(), y=rows.min(), w=cols.max() - cols.min() + 1,
+                             h=rows.max() - rows.min() + 1)
+        assert np.array_equal(p.bits, PreparedMask(rle).bits)
+    else:
+        assert p.bits.shape == (0, 0)
+        with pytest.raises(EmptyMask):
+            p.box
+
+
+def test_encoder_edge_placements():
+    # a full-height box: its runs meet across column edges and merge into one
+    assert PreparedMask.from_bits(np.ones((5, 2)), 0, 3, (5, 8)).rle().counts == (15, 10, 15)
+    # a mask ending on the last pixel has no trailing zero run
+    assert PreparedMask.from_bits(np.ones((1, 1)), 4, 7, (5, 8)).rle().counts == (39, 1)
+    # first pixel: a leading zero run
+    assert PreparedMask.from_bits(np.ones((1, 1)), 0, 0, (5, 8)).rle().counts == (0, 1, 39)
+    empty = PreparedMask.from_bits(np.zeros((3, 3)), 1, 1, (5, 8))
+    assert (empty.area, empty.bits.shape, empty.rle().counts) == (0, (0, 0), (40,))
+    # background may hang over the frame edge; foreground may not
+    hang = np.zeros((3, 3), dtype=bool)
+    hang[1, 1] = True
+    assert PreparedMask.from_bits(hang, -1, 6, (5, 8)).rle().counts == (35, 1, 4)
+    with pytest.raises(ValueError):
+        PreparedMask.from_bits(np.ones((2, 2)), 4, 0, (5, 8))
 
 
 # -- components --------------------------------------------------------

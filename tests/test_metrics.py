@@ -3,12 +3,12 @@ import pytest
 
 from mobilabel.errors import DimensionMismatch, FrameMismatch, MissingAttribute
 from mobilabel.initlabel import InstanceLabel, LabelSet
+from mobilabel.maskcore import rle_decode
 from mobilabel.metrics import (
     COCO_THRESHOLDS,
     EvalConfig,
-    attribute_split_ar,
+    _match_frame,
     evaluate,
-    match_instances,
     size_bucket,
 )
 
@@ -31,6 +31,12 @@ def labels(fid, *entries):
 
 
 AT50 = EvalConfig(iou_thresholds=(0.5,))
+
+
+def match_ids(preds, gt, iou_thrd, mode="mask"):
+    """One frame's greedy matching at one threshold: prediction id -> ground-truth id."""
+    ordered, (raw,) = _match_frame(preds, gt, mode, (iou_thrd,))
+    return {ordered[i].instance_id: gt.instances[j].instance_id for i, j in raw.items()}
 
 
 # -- size buckets ------------------------------------------------------------
@@ -59,7 +65,7 @@ def test_eval_config_validation():
 
 def test_match_identity():
     gt = labels("f", (rect(0, 0, 8, 8), 1.0, None), (rect(20, 20, 8, 8), 1.0, None))
-    assert match_instances(gt, gt, 0.5) == {0: 0, 1: 1}
+    assert match_ids(gt, gt, 0.5) == {0: 0, 1: 1}
 
 
 def test_match_prefers_higher_iou():
@@ -68,20 +74,20 @@ def test_match_prefers_higher_iou():
     pred = rect(0, 1, 10, 10)  # IoU 9/11 with g1, shifted further from g2
     gt = labels("f", (g1, 1.0, None), (g2, 1.0, None))
     preds = labels("f", (pred, 0.9, None))
-    assert match_instances(preds, gt, 0.5) == {0: 0}
+    assert match_ids(preds, gt, 0.5) == {0: 0}
 
 
 def test_match_two_preds_one_gt():
     g = rect(0, 0, 10, 10)
     gt = labels("f", (g, 1.0, None))
     preds = labels("f", (g, 0.6, None), (g, 0.9, None))
-    assert match_instances(preds, gt, 0.5) == {1: 0}  # higher score wins the only GT
+    assert match_ids(preds, gt, 0.5) == {1: 0}  # higher score wins the only GT
 
 
 def test_match_dimension_mismatch():
     gt = labels("f", (rect(0, 0, 4, 4), 1.0, None))
     with pytest.raises(DimensionMismatch):
-        match_instances(LabelSet("f", H, W + 1, []), gt, 0.5)
+        match_ids(LabelSet("f", H, W + 1, []), gt, 0.5)
 
 
 def test_match_box_mode():
@@ -89,8 +95,8 @@ def test_match_box_mode():
     p = rect(0, 0, 10, 9)
     gt = labels("f", (g, 1.0, None))
     preds = labels("f", (p, 0.9, None))
-    assert match_instances(preds, gt, 0.85, mode="box") == {0: 0}  # box IoU 0.9
-    assert match_instances(preds, gt, 0.95, mode="box") == {}
+    assert match_ids(preds, gt, 0.85, mode="box") == {0: 0}  # box IoU 0.9
+    assert match_ids(preds, gt, 0.95, mode="box") == {}
 
 
 # -- perfect / empty -------------------------------------------------------------
@@ -185,14 +191,14 @@ def test_attribute_split_moving_only_preds():
     sta = rect(20, 20, 10, 10)
     gt = [labels("a", (mov, 1.0, {"moving": True}), (sta, 1.0, {"moving": False}))]
     preds = [labels("a", (mov, 1.0, None))]
-    split = attribute_split_ar(preds, gt, AT50)
+    split = evaluate(preds, gt, AT50, with_attributes=True).ar_by_attribute
     assert split == {"all": 0.5, "static": 0.0, "moving": 1.0}
 
 
 def test_attribute_split_all_moving():
     mov = rect(0, 0, 10, 10)
     gt = [labels("a", (mov, 1.0, {"moving": True}))]
-    split = attribute_split_ar(gt, gt, AT50)
+    split = evaluate(gt, gt, AT50, with_attributes=True).ar_by_attribute
     assert split["moving"] == 1.0
     assert split["static"] == 0.0  # no static GT: reported as zero
 
@@ -200,7 +206,7 @@ def test_attribute_split_all_moving():
 def test_attribute_split_missing_flag():
     gt = [labels("a", (rect(0, 0, 10, 10), 1.0, None))]
     with pytest.raises(MissingAttribute):
-        attribute_split_ar(gt, gt, AT50)
+        evaluate(gt, gt, AT50, with_attributes=True).ar_by_attribute
 
 
 # -- invariances ------------------------------------------------------------------------
@@ -268,9 +274,9 @@ def test_matches_bruteforce_oracle_on_random_frames():
             n_gt = 0
             pooled = []
             for pf, gf in zip(preds, gt):
-                pm = [inst.mask_array() for inst in pf.instances]
+                pm = [rle_decode(inst.mask) for inst in pf.instances]
                 ps = [inst.score for inst in pf.instances]
-                gm = [inst.mask_array() for inst in gf.instances]
+                gm = [rle_decode(inst.mask) for inst in gf.instances]
                 match = greedy_match_ref(pm, ps, gm, thr)
                 matched_total += len(match)
                 n_gt += len(gm)
@@ -329,7 +335,7 @@ def test_split_scores_match_bruteforce_oracle(monkeypatch):
         frames = [_sized_scene(rng, f"{f:03d}") for f in range(3)]
         preds, gt = [p for p, _ in frames], [g for _, g in frames]
         r = evaluate(preds, gt, cfg, with_attributes=True)
-        masks = [([i.mask_array() for i in pf.instances], [g.mask_array() for g in gf.instances])
+        masks = [([rle_decode(i.mask) for i in pf.instances], [rle_decode(g.mask) for g in gf.instances])
                  for pf, gf in zip(preds, gt)]
 
         gts = [g for gf in gt for g in gf.instances]
@@ -375,5 +381,5 @@ def test_iou_matrix_against_reference():
         b = rect(int(rng.integers(0, 30)), int(rng.integers(0, 40)), 8, 14)
         gt = labels("f", (a, 1.0, None))
         preds = labels("f", (b, 0.9, None))
-        got = match_instances(preds, gt, 1e-9)
+        got = match_ids(preds, gt, 1e-9)
         assert (got == {0: 0}) == (iou_ref(b, a) >= 1e-9)

@@ -21,7 +21,7 @@ from mobilabel.io import (
     write_labels,
     write_motion,
 )
-from mobilabel.maskcore import PreparedMask, iou, rle_encode
+from mobilabel.maskcore import PreparedMask, iou, rle_decode, rle_encode
 from mobilabel.synthgen import (
     DetectorNoise,
     SceneSpec,
@@ -74,7 +74,7 @@ def test_moving_fraction_one_marks_everything():
     assert gt.instances
     for inst in gt.instances:
         assert inst.attributes == {"moving": True}
-        assert motion[inst.mask_array()].min() > 0.5
+        assert motion[rle_decode(inst.mask)].min() > 0.5
 
 
 def test_moving_fraction_zero_keeps_motion_silent():
@@ -89,20 +89,20 @@ def test_masks_disjoint_and_depth_constant():
     total = 0
     bg = np.ones((spec.height, spec.width), dtype=bool)
     for inst in gt.instances:
-        m = inst.mask_array()
+        m = rle_decode(inst.mask)
         total += m.sum()
         bg &= ~m
         vals = np.unique(depth[m])
         assert len(vals) == 1
         assert spec.depth_range[0] <= vals[0] <= spec.depth_range[1]
-    assert np.logical_or.reduce([inst.mask_array() for inst in gt.instances]).sum() == total
+    assert np.logical_or.reduce([rle_decode(inst.mask) for inst in gt.instances]).sum() == total
     # background ramp stays clear of the object depth range
     assert depth[bg].min() >= 2.0 * spec.depth_range[1] - 1e-5
 
 
 def test_motion_foreground_equals_moving_union():
     _, motion, _, gt = generate_scene(SceneSpec(seed=3, moving_fraction=0.5), 4)
-    moving = [i.mask_array() for i in gt.instances if i.attributes["moving"]]
+    moving = [rle_decode(i.mask) for i in gt.instances if i.attributes["moving"]]
     want = np.zeros_like(motion, dtype=bool)
     for m in moving:
         want |= m
@@ -250,7 +250,7 @@ def test_region_confines_false_positives():
     added = out.instances[len(gt.instances):]
     assert len(added) == 50
     for inst in added:
-        m = inst.mask_array()
+        m = rle_decode(inst.mask)
         assert not m[30:, :].any() and not m[:, 30 + 10:].any()
         assert m[:30, :40].sum() == 100
 
@@ -266,11 +266,24 @@ def test_region_blocks_jitter_across_boundary():
     moved = 0
     for seed in range(30):
         out = mock_detector(gt, noise, np.random.default_rng(seed), region=(30, 30))
-        got = out.instances[0].mask_array()
+        got = rle_decode(out.instances[0].mask)
         assert not got[30:, :].any() and not got[:, 30:].any()
         assert got.sum() == 400
         moved += not np.array_equal(got, m)
     assert moved > 0
+
+
+def test_jitter_beyond_the_frame_keeps_masks_inside():
+    # a shift longer than the frame clips the mask away entirely, so the
+    # original placement is kept; shorter shifts may clip at the border
+    m = np.zeros((8, 6), dtype=bool)
+    m[2:5, 1:4] = True
+    gt = LabelSet("f", 8, 6, [InstanceLabel.from_mask(m, 1.0, 0)])
+    for seed in range(30):
+        out = mock_detector(gt, DetectorNoise(mask_jitter=20), np.random.default_rng(seed))
+        got = rle_decode(out.instances[0].mask)
+        assert 0 < got.sum() <= 9
+        assert out.instances[0].box == PreparedMask(out.instances[0].mask).box
 
 
 def test_region_validation():
