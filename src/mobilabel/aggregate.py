@@ -144,6 +144,8 @@ def nms(proposals: LabelSet, iou_thrd: float) -> LabelSet:
     Ties in score fall to the lower instance id. Survivors are returned
     highest score first, otherwise unchanged.
     """
+    if not (0 <= iou_thrd <= 1):
+        raise ValueError(f"iou_thrd must lie in [0, 1], got {iou_thrd}")
     ordered = _canonical(_prepare(proposals, 0))
     kept: list[_Prepared] = []
     for cand in ordered:

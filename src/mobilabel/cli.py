@@ -10,14 +10,17 @@ One binary, one subcommand per pipeline step:
   eval         class-agnostic recall/precision report
   pipeline     run the self-training rounds against an exchange dir
 
-Every hyperparameter is a flag whose stock default is read from the
-code that owns it (DbscanParams, AggParams, default_stages and the
-function signatures), so the CLI cannot drift from the library; a
---config file (flat JSON object of flag names) is parsed as flags
-placed before the explicit ones, which win over it.  Exit codes: 0
-success, 1 internal error, 2 usage or contract violation, 3 missing
-inputs.  All outputs are byte-deterministic and independent of
---workers.
+Every hyperparameter is declared once, as a flag whose stock default
+is read from the code that owns it.  The flags of a config object
+(SceneSpec, DbscanParams, AggParams, DetectorNoise, EvalConfig) store
+under its field names and default to a default instance's values, and
+each command builds the object from them by name.  argparse enforces
+required flags, --workers >= 1 and the ranges of --conf, --min-iou,
+--nms-iou and --scale before any frame is read.  A --config file (flat
+JSON object keyed by flag names) is parsed as flags placed before the
+explicit ones, which win over it.  Exit codes: 0 success, 1 internal
+error, 2 usage or contract violation, 3 missing inputs.  All outputs
+are byte-deterministic and independent of --workers.
 """
 
 import argparse
@@ -50,7 +53,7 @@ from .io import (
     write_motion,
     write_transform,
 )
-from .metrics import COCO_THRESHOLDS, EvalConfig, evaluate
+from .metrics import EvalConfig, evaluate
 from .rescale import invert_labels, make_transform, transform_labels, transform_raster
 from .rounds import RoundConfig, default_stages, gt_overlap_filter, run_pipeline, threshold_filter
 from .synthgen import DetectorNoise, SceneSpec, generate_scene, mock_detector, scene_intrinsics
@@ -66,8 +69,6 @@ EXIT_MISSING = 3
 def _each_frame(args, fn, frame_ids, **shared) -> list:
     """fn(frame_id, **shared) for every frame, results in frame order; with
     --workers above 1 the frames fan out over that many processes."""
-    if args.workers < 1:
-        raise ValueError(f"workers must be at least 1, got {args.workers}")
     frame_ids = list(frame_ids)
     call = functools.partial(fn, **shared)
     if args.workers == 1 or len(frame_ids) <= 1:
@@ -76,10 +77,10 @@ def _each_frame(args, fn, frame_ids, **shared) -> list:
         return list(pool.map(call, frame_ids))
 
 
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise ValueError(f"--{name.replace('_', '-')} is required")
+def _from_flags(cls, args):
+    """cls built by field name from the parsed flags, nargs lists as tuples."""
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)}
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
 
 def _need_dir(path, what: str) -> Path:
@@ -123,14 +124,7 @@ def _synth_frame(index, spec, layout):
 
 
 def cmd_synth(args) -> int:
-    _require(args, "out")
-    spec = SceneSpec(seed=args.seed, height=args.height, width=args.width,
-                     n_objects=tuple(args.objects), depth_range=tuple(args.depth_range),
-                     moving_fraction=args.moving_fraction,
-                     size_range=tuple(args.size_range),
-                     ellipse_fraction=args.ellipse_fraction,
-                     depth_sigma=args.depth_sigma, motion_blur=args.motion_blur,
-                     margin=args.margin)
+    spec = _from_flags(SceneSpec, args)
     layout = DatasetLayout(Path(args.out))
     layout.ensure_dirs()
     write_intrinsics(layout.intrinsics_path, scene_intrinsics(spec))
@@ -154,15 +148,13 @@ def _init_frame(fid, layout, out, k, params, motion_threshold, min_area):
 
 
 def cmd_init_labels(args) -> int:
-    _require(args, "data", "out")
     layout = DatasetLayout(_need_dir(args.data, "dataset"))
     _need_dir(layout.depth_dir, "depth")
     _need_dir(layout.motion_dir, "motion")
     _need_file(layout.intrinsics_path, "intrinsics file")
     ids = layout.validate()
     k = read_intrinsics(layout.intrinsics_path)
-    params = DbscanParams(eps=args.eps, min_pts=args.min_pts,
-                          pixel_window=args.pixel_window)
+    params = _from_flags(DbscanParams, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     counts = _each_frame(args, _init_frame, ids, layout=layout, out=out, k=k, params=params,
@@ -198,7 +190,6 @@ def _invert_frame(fid, labels_in, out, transforms_in):
 
 
 def cmd_rescale(args) -> int:
-    _require(args, "labels", "out")
     labels_in = _need_dir(args.labels, "labels")
     out = Path(args.out)
     ids = _label_ids(labels_in)
@@ -245,7 +236,6 @@ def _aggregate_frame(fid, large_in, small_in, out, merge):
 
 
 def cmd_aggregate(args) -> int:
-    _require(args, "large", "small", "out")
     large_in = _need_dir(args.large, "large-scale labels")
     small_in = _need_dir(args.small, "small-scale labels")
     out = Path(args.out)
@@ -254,9 +244,7 @@ def cmd_aggregate(args) -> int:
         merge = functools.partial(_pooled_nms, iou_thrd=args.nms_iou)
         how = f"nms {args.nms_iou}"
     else:
-        merge = functools.partial(mask_agg, p=AggParams(match_thrd=args.match_thrd,
-                                                        filt_frac=args.filt_frac,
-                                                        cover_frac=args.cover_frac))
+        merge = functools.partial(mask_agg, p=_from_flags(AggParams, args))
         how = "mask-agg"
     ids = _label_ids(large_in)
     results = _each_frame(args, _aggregate_frame, ids, large_in=large_in,
@@ -277,7 +265,6 @@ def _filter_frame(fid, labels_in, out, keep, gt_in):
 
 
 def cmd_filter(args) -> int:
-    _require(args, "labels", "out")
     labels_in = _need_dir(args.labels, "labels")
     if args.gt_overlap:
         if args.gt is None:
@@ -303,7 +290,6 @@ def cmd_filter(args) -> int:
 # -- eval -------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
-    _require(args, "pred", "gt")
     pred_in = _need_dir(args.pred, "predictions")
     gt_in = _need_dir(args.gt, "ground-truth labels")
     gt_ids = _label_ids(gt_in)
@@ -311,9 +297,7 @@ def cmd_eval(args) -> int:
     for fid in gt_ids:
         preds.append(_frame_labels(pred_in, fid))
         gts.append(read_labels(gt_in / f"{fid}.json"))
-    cfg = EvalConfig(iou_thresholds=tuple(args.iou_thresholds),
-                     max_dets=args.max_dets, mode=args.mode)
-    report = evaluate(preds, gts, cfg, with_attributes=args.attributes)
+    report = evaluate(preds, gts, _from_flags(EvalConfig, args), with_attributes=args.attributes)
     if args.json:
         report_path = Path(args.json)
         report_path.parent.mkdir(parents=True, exist_ok=True)
@@ -358,19 +342,12 @@ def _make_mock(gt_dir: Path, noise: DetectorNoise, seed: int):
 
 
 def cmd_pipeline(args) -> int:
-    _require(args, "l0", "exchange", "out")
     l0_in = _need_dir(args.l0, "initial labels")
     detector = None
     if args.mock_gt is not None:
-        noise = DetectorNoise(mask_jitter=args.mock_jitter,
-                              score_mean=args.mock_score_mean,
-                              score_sigma=args.mock_score_sigma,
-                              dropout=args.mock_dropout,
-                              false_positives=args.mock_fp)
         detector = _make_mock(_need_dir(args.mock_gt, "mock ground truth"),
-                              noise, args.seed)
-    agg = AggParams(match_thrd=args.match_thrd, filt_frac=args.filt_frac,
-                    cover_frac=args.cover_frac)
+                              _from_flags(DetectorNoise, args), args.seed)
+    agg = _from_flags(AggParams, args)
     stages = (
         RoundConfig(stage="moving2mobile", conf_threshold=args.m2m_conf,
                     scale=tuple(args.jitter), epochs=args.m2m_epochs),
@@ -394,10 +371,26 @@ def cmd_pipeline(args) -> int:
 
 # -- parser -----------------------------------------------------------------------
 
+def _checked(cast, ok, what: str):
+    """argparse type: cast(text), refused as a usage error unless ok(value)."""
+    def convert(text):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{what}, got {text}")
+        return value
+    convert.__name__ = cast.__name__  # argparse names the type in "invalid float value"
+    return convert
+
+
+_COUNT = _checked(int, lambda v: v >= 1, "must be at least 1")
+_UNIT = _checked(float, lambda v: 0 <= v <= 1, "must lie in [0, 1]")
+_SCALE = _checked(float, lambda v: 0 < v <= 1, "must lie in (0, 1]")
+
+
 def _add_common(sp) -> None:
     sp.add_argument("--config", default=None,
                     help="JSON file of flag defaults; explicit flags win")
-    sp.add_argument("--workers", type=int, default=1,
+    sp.add_argument("--workers", type=_COUNT, default=1,
                     help="worker processes over frames for synth, init-labels, rescale, "
                          "aggregate and filter; eval and pipeline run in one process")
     sp.add_argument("--seed", type=int, default=0, help="random seed")
@@ -405,13 +398,15 @@ def _add_common(sp) -> None:
                     help="per-frame progress on stderr")
 
 
-def _default(fn, name: str):
-    return inspect.signature(fn).parameters[name].default
+def _flag_defaults(obj) -> dict:
+    """obj's fields for set_defaults, which also sets the default (and help) of
+    each flag stored under a field name; tuples as the lists nargs parses into."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(obj).items()}
 
 
 def build_parser():
-    dbscan, agg = DbscanParams(), AggParams()
     m2m, l2s, final = default_stages()
+    init = inspect.signature(make_initial_labels).parameters
     parser = argparse.ArgumentParser(
         prog="mobilabel",
         description="Unsupervised mobile-object label pipeline over depth and motion.")
@@ -420,50 +415,46 @@ def build_parser():
 
     sp = subs.add_parser("synth", formatter_class=fmt,
                          help="generate a synthetic dataset directory")
-    sp.add_argument("--out", help="(required) dataset directory to create")
+    sp.add_argument("--out", required=True, help="(required) dataset directory to create")
     sp.add_argument("--frames", type=int, default=10, help="number of frames")
-    sp.add_argument("--height", type=int, default=128)
-    sp.add_argument("--width", type=int, default=192)
-    sp.add_argument("--objects", type=int, nargs=2, default=[3, 6],
+    sp.add_argument("--height", type=int)
+    sp.add_argument("--width", type=int)
+    sp.add_argument("--objects", dest="n_objects", type=int, nargs=2,
                     metavar=("LO", "HI"), help="object count range")
-    sp.add_argument("--depth-range", type=float, nargs=2, default=[4.0, 40.0],
+    sp.add_argument("--depth-range", type=float, nargs=2,
                     metavar=("LO", "HI"), help="object depth range, meters")
-    sp.add_argument("--moving-fraction", type=float, default=0.5)
-    sp.add_argument("--size-range", type=int, nargs=2, default=[16, 48],
+    sp.add_argument("--moving-fraction", type=float)
+    sp.add_argument("--size-range", type=int, nargs=2,
                     metavar=("LO", "HI"), help="object side range, pixels")
-    sp.add_argument("--ellipse-fraction", type=float, default=0.5)
-    sp.add_argument("--depth-sigma", type=float, default=0.0,
-                    help="depth noise sigma, meters")
-    sp.add_argument("--motion-blur", type=int, default=0,
+    sp.add_argument("--ellipse-fraction", type=float)
+    sp.add_argument("--depth-sigma", type=float, help="depth noise sigma, meters")
+    sp.add_argument("--motion-blur", type=int,
                     help="motion probability box-blur radius, pixels")
-    sp.add_argument("--margin", type=int, default=8,
-                    help="object gap and border margin, pixels")
+    sp.add_argument("--margin", type=int, help="object gap and border margin, pixels")
     _add_common(sp)
-    sp.set_defaults(fn=cmd_synth)
+    sp.set_defaults(fn=cmd_synth, **_flag_defaults(SceneSpec()))
 
     sp = subs.add_parser("init-labels", formatter_class=fmt,
                          help="initial labels from depth + motion clustering")
-    sp.add_argument("--data", help="(required) dataset directory")
-    sp.add_argument("--out", help="(required) output labels directory")
+    sp.add_argument("--data", required=True, help="(required) dataset directory")
+    sp.add_argument("--out", required=True, help="(required) output labels directory")
     sp.add_argument("--motion-threshold", type=float,
-                    default=_default(make_initial_labels, "motion_threshold"),
+                    default=init["motion_threshold"].default,
                     help="motion probability cut, inclusive")
-    sp.add_argument("--eps", type=float, default=dbscan.eps,
-                    help="clustering radius, meters")
-    sp.add_argument("--min-pts", type=int, default=dbscan.min_pts,
-                    help="neighbors (incl. self) for a core point")
-    sp.add_argument("--pixel-window", type=int, default=dbscan.pixel_window,
+    sp.add_argument("--eps", type=float, help="clustering radius, meters")
+    sp.add_argument("--min-pts", type=int, help="neighbors (incl. self) for a core point")
+    sp.add_argument("--pixel-window", type=int,
                     help="neighbors lie within PIXEL_WINDOW // 2 rows and columns")
-    sp.add_argument("--min-area", type=int, default=_default(make_initial_labels, "min_area"),
+    sp.add_argument("--min-area", type=int, default=init["min_area"].default,
                     help="drop clusters below this pixel area")
     _add_common(sp)
-    sp.set_defaults(fn=cmd_init_labels)
+    sp.set_defaults(fn=cmd_init_labels, **_flag_defaults(DbscanParams()))
 
     sp = subs.add_parser("rescale", formatter_class=fmt,
                          help="shrink labels/rasters, or map labels back up")
-    sp.add_argument("--labels", help="(required) input labels directory")
-    sp.add_argument("--out", help="(required) output directory")
-    sp.add_argument("--scale", type=float, default=0.25, help="shrink factor")
+    sp.add_argument("--labels", required=True, help="(required) input labels directory")
+    sp.add_argument("--out", required=True, help="(required) output directory")
+    sp.add_argument("--scale", type=_SCALE, default=0.25, help="shrink factor")
     sp.add_argument("--invert", action="store_true",
                     help="map labels back through recorded transforms")
     sp.add_argument("--transforms", default=None,
@@ -476,57 +467,56 @@ def build_parser():
 
     sp = subs.add_parser("aggregate", formatter_class=fmt,
                          help="merge large- and small-scale proposals")
-    sp.add_argument("--large", help="(required) large-scale labels directory")
-    sp.add_argument("--small", help="(required) small-scale labels directory")
-    sp.add_argument("--out", help="(required) output labels directory")
-    sp.add_argument("--match-thrd", type=float, default=agg.match_thrd,
+    sp.add_argument("--large", required=True, help="(required) large-scale labels directory")
+    sp.add_argument("--small", required=True, help="(required) small-scale labels directory")
+    sp.add_argument("--out", required=True, help="(required) output labels directory")
+    sp.add_argument("--match-thrd", type=float,
                     help="IoU above which two masks count as the same object")
-    sp.add_argument("--filt-frac", type=float, default=agg.filt_frac,
+    sp.add_argument("--filt-frac", type=float,
                     help="coverage above which pre-filters drop a mask")
-    sp.add_argument("--cover-frac", type=float, default=agg.cover_frac,
+    sp.add_argument("--cover-frac", type=float,
                     help="coverage above which parts replace a large mask")
     sp.add_argument("--nms", action="store_true",
                     help="greedy suppression baseline instead of mask aggregation")
-    sp.add_argument("--nms-iou", type=float, default=0.5,
+    sp.add_argument("--nms-iou", type=_UNIT, default=0.5,
                     help="suppression IoU for --nms")
     _add_common(sp)
-    sp.set_defaults(fn=cmd_aggregate)
+    sp.set_defaults(fn=cmd_aggregate, **_flag_defaults(AggParams()))
 
     sp = subs.add_parser("filter", formatter_class=fmt,
                          help="keep instances by score or ground-truth overlap")
-    sp.add_argument("--labels", help="(required) input labels directory")
-    sp.add_argument("--out", help="(required) output labels directory")
+    sp.add_argument("--labels", required=True, help="(required) input labels directory")
+    sp.add_argument("--out", required=True, help="(required) output labels directory")
     group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--conf", type=float, default=None,
+    group.add_argument("--conf", type=_UNIT, default=None,
                        help="keep instances scoring at least this")
     group.add_argument("--gt-overlap", action="store_true",
                        help="keep instances overlapping ground truth (needs --gt)")
     sp.add_argument("--gt", default=None, help="ground-truth labels directory")
-    sp.add_argument("--min-iou", type=float, default=_default(gt_overlap_filter, "min_iou"),
+    sp.add_argument("--min-iou", type=_UNIT,
+                    default=inspect.signature(gt_overlap_filter).parameters["min_iou"].default,
                     help="overlap cut for --gt-overlap, inclusive")
     _add_common(sp)
     sp.set_defaults(fn=cmd_filter)
 
     sp = subs.add_parser("eval", formatter_class=fmt,
                          help="class-agnostic average recall/precision")
-    sp.add_argument("--pred", help="(required) prediction labels directory")
-    sp.add_argument("--gt", help="(required) ground-truth labels directory")
-    sp.add_argument("--mode", choices=("mask", "box"), default="mask")
-    sp.add_argument("--max-dets", type=int, default=100,
-                    help="predictions kept per frame, by score")
-    sp.add_argument("--iou-thresholds", type=float, nargs="+",
-                    default=list(COCO_THRESHOLDS), help="matching IoU grid")
+    sp.add_argument("--pred", required=True, help="(required) prediction labels directory")
+    sp.add_argument("--gt", required=True, help="(required) ground-truth labels directory")
+    sp.add_argument("--mode", choices=("mask", "box"))
+    sp.add_argument("--max-dets", type=int, help="predictions kept per frame, by score")
+    sp.add_argument("--iou-thresholds", type=float, nargs="+", help="matching IoU grid")
     sp.add_argument("--attributes", action="store_true",
                     help="also split recall by the moving flag")
     sp.add_argument("--json", default=None, help="write the full report here")
     _add_common(sp)
-    sp.set_defaults(fn=cmd_eval)
+    sp.set_defaults(fn=cmd_eval, **_flag_defaults(EvalConfig()))
 
     sp = subs.add_parser("pipeline", formatter_class=fmt,
                          help="run the self-training rounds")
-    sp.add_argument("--l0", help="(required) initial labels directory")
-    sp.add_argument("--exchange", help="(required) detector exchange root")
-    sp.add_argument("--out", help="(required) per-stage output directory")
+    sp.add_argument("--l0", required=True, help="(required) initial labels directory")
+    sp.add_argument("--exchange", required=True, help="(required) detector exchange root")
+    sp.add_argument("--out", required=True, help="(required) per-stage output directory")
     sp.add_argument("--m2m-conf", type=float, default=m2m.conf_threshold,
                     help="first-round confidence cut")
     sp.add_argument("--l2s-confs", type=float, nargs=2, default=list(l2s.conf_threshold),
@@ -535,9 +525,9 @@ def build_parser():
                     metavar=("LARGE", "SMALL"), help="two-scale inference factors")
     sp.add_argument("--jitter", type=float, nargs=2, default=list(m2m.scale),
                     metavar=("LO", "HI"), help="training scale jitter range")
-    sp.add_argument("--match-thrd", type=float, default=l2s.agg.match_thrd)
-    sp.add_argument("--filt-frac", type=float, default=l2s.agg.filt_frac)
-    sp.add_argument("--cover-frac", type=float, default=l2s.agg.cover_frac)
+    sp.add_argument("--match-thrd", type=float)
+    sp.add_argument("--filt-frac", type=float)
+    sp.add_argument("--cover-frac", type=float)
     sp.add_argument("--m2m-epochs", type=int, default=m2m.epochs,
                     help="advisory epoch count for the first round")
     sp.add_argument("--l2s-epochs", type=int, default=l2s.epochs)
@@ -545,15 +535,18 @@ def build_parser():
     sp.add_argument("--mock-gt", default=None,
                     help="drive a built-in mock detector from these ground-truth "
                          "labels instead of reading external responses")
-    sp.add_argument("--mock-dropout", type=float, default=0.0)
-    sp.add_argument("--mock-jitter", type=int, default=0,
+    sp.add_argument("--mock-dropout", dest="dropout", metavar="MOCK_DROPOUT", type=float)
+    sp.add_argument("--mock-jitter", dest="mask_jitter", metavar="MOCK_JITTER", type=int,
                     help="mock mask shift amplitude, pixels")
-    sp.add_argument("--mock-score-mean", type=float, default=1.0)
-    sp.add_argument("--mock-score-sigma", type=float, default=0.0)
-    sp.add_argument("--mock-fp", type=int, default=0,
+    sp.add_argument("--mock-score-mean", dest="score_mean", metavar="MOCK_SCORE_MEAN",
+                    type=float)
+    sp.add_argument("--mock-score-sigma", dest="score_sigma", metavar="MOCK_SCORE_SIGMA",
+                    type=float)
+    sp.add_argument("--mock-fp", dest="false_positives", metavar="MOCK_FP", type=int,
                     help="mock false positives per frame")
     _add_common(sp)
-    sp.set_defaults(fn=cmd_pipeline)
+    sp.set_defaults(fn=cmd_pipeline, **_flag_defaults(l2s.agg),
+                    **_flag_defaults(DetectorNoise()))
 
     return parser, subs
 
@@ -561,7 +554,8 @@ def build_parser():
 def _with_config(subs, argv):
     """(argv, config path): argv with the --config file's flags placed
     right after the subcommand, so argparse converts every value, an
-    exclusive group sees both sources, and a later explicit flag wins."""
+    exclusive group sees both sources, and a later explicit flag wins.
+    Keys are flag names without the leading dashes, `_` read as `-`."""
     pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     pre.add_argument("command", nargs="?")
     pre.add_argument("--config")
@@ -575,13 +569,13 @@ def _with_config(subs, argv):
         raise ValueError(f"config file {path}: {e}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config file {path}: expected a flat object")
-    actions = {a.dest: a for a in subs.choices[known.command]._actions if a.option_strings}
+    actions = {flag: a for a in subs.choices[known.command]._actions for flag in a.option_strings}
     tokens = []
     for key, value in data.items():
-        action = actions.get(key.replace("-", "_"))
+        flag = "--" + key.replace("_", "-")
+        action = actions.get(flag)
         if action is None or action.dest in ("help", "config"):
             raise ValueError(f"config file {path}: unknown option {key!r}")
-        flag = max(action.option_strings, key=len)
         if action.nargs == 0:  # a switch
             if not isinstance(value, bool):
                 raise ValueError(f"config file {path}: {key!r} must be true or false")
@@ -590,7 +584,8 @@ def _with_config(subs, argv):
         values = value if isinstance(value, list) and action.nargs is not None else [value]
         if any(v is None or isinstance(v, (bool, list, dict)) for v in values):
             raise ValueError(f"config file {path}: {key!r} has an invalid value {value!r}")
-        tokens += [flag, *map(str, values)]
+        # --flag=value, so a value starting with "-" is not read as a flag
+        tokens += [f"{flag}={value}"] if action.nargs is None else [flag, *map(str, values)]
     at = argv.index(known.command) + 1
     return [*argv[:at], *tokens, *argv[at:]], known.config
 

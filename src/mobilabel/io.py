@@ -203,9 +203,6 @@ def _want(obj, key, kind, path):
     elif kind == "dict":
         if not isinstance(value, dict):
             raise SchemaViolation(field, f"expected an object, got {type(value).__name__}")
-    elif kind == "bool":
-        if not isinstance(value, bool):
-            raise SchemaViolation(field, f"expected a boolean, got {value!r}")
     return value
 
 
@@ -368,10 +365,6 @@ class DatasetLayout:
 
     def __post_init__(self):
         object.__setattr__(self, "root", Path(self.root))
-
-    @staticmethod
-    def frame_name(index: int) -> str:
-        return f"{index:06d}"
 
     @property
     def depth_dir(self) -> Path:

@@ -248,6 +248,13 @@ def test_nms_tie_breaks_by_lower_id():
     assert [i.instance_id for i in out.instances] == [0]
 
 
+@pytest.mark.parametrize("iou_thrd", [-1.0, 1.5, 7.0, float("nan")])
+def test_nms_rejects_threshold_outside_unit_interval(iou_thrd):
+    m = rect(0, 0, 10, 10)
+    with pytest.raises(ValueError):
+        nms(labels((m, 0.9), (m, 0.8)), iou_thrd)
+
+
 def test_nms_antichain_property():
     rng = np.random.default_rng(7)
     scores = set()

@@ -8,15 +8,30 @@ import pytest
 import mobilabel.cli
 import mobilabel.io
 from mobilabel.aggregate import AggParams
-from mobilabel.cli import build_parser, main
+from mobilabel.cli import _from_flags, _with_config, build_parser, main
 from mobilabel.initlabel import DbscanParams, make_initial_labels
 from mobilabel.io import read_labels, write_motion
 from mobilabel.maskcore import PreparedMask, iou
+from mobilabel.metrics import EvalConfig
 from mobilabel.rounds import default_config_snapshot, default_stages, gt_overlap_filter
+from mobilabel.synthgen import DetectorNoise, SceneSpec
+
+COMMANDS = ("synth", "init-labels", "rescale", "aggregate", "filter", "eval", "pipeline")
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def required(cmd, d):
+    """The flags cmd requires, every directory set to d."""
+    return {"synth": ["--out", d],
+            "init-labels": ["--data", d, "--out", d],
+            "rescale": ["--labels", d, "--out", d],
+            "aggregate": ["--large", d, "--small", d, "--out", d],
+            "filter": ["--labels", d, "--out", d, "--conf", 0.5],
+            "eval": ["--pred", d, "--gt", d],
+            "pipeline": ["--l0", d, "--exchange", d, "--out", d]}[cmd]
 
 
 def tree_bytes(root):
@@ -34,8 +49,7 @@ def dataset(tmp_path):
 # -- exit codes and help ------------------------------------------------------
 
 def test_every_subcommand_has_help(capsys):
-    for cmd in ("synth", "init-labels", "rescale", "aggregate", "filter",
-                "eval", "pipeline"):
+    for cmd in COMMANDS:
         assert run(cmd, "--help") == 0
         out = capsys.readouterr().out
         assert "--workers" in out and "--config" in out
@@ -57,21 +71,29 @@ def test_flag_defaults_come_from_the_library():
     def signature_default(fn, name):
         return inspect.signature(fn).parameters[name].default
 
-    a = parser.parse_args(["init-labels"])
+    def parse(cmd):
+        return parser.parse_args([cmd, *map(str, required(cmd, "d"))])
+
+    assert _from_flags(SceneSpec, parse("synth")) == SceneSpec()
+
+    a = parse("init-labels")
     assert a.motion_threshold == signature_default(make_initial_labels, "motion_threshold") \
         == snap["motion_threshold"]
     assert a.min_area == signature_default(make_initial_labels, "min_area")
     assert (a.eps, a.min_pts, a.pixel_window) == (DbscanParams().eps, DbscanParams().min_pts,
                                                   DbscanParams().pixel_window)
 
-    a = parser.parse_args(["aggregate"])
+    a = parse("aggregate")
     assert AggParams(a.match_thrd, a.filt_frac, a.cover_frac) == AggParams()
 
-    a = parser.parse_args(["filter", "--gt-overlap"])
+    a = parse("filter")
     assert a.min_iou == signature_default(gt_overlap_filter, "min_iou") \
         == snap["gt_overlap_min_iou"]
 
-    a = parser.parse_args(["pipeline"])
+    assert _from_flags(EvalConfig, parse("eval")) == EvalConfig()
+
+    a = parse("pipeline")
+    assert _from_flags(DetectorNoise, a) == DetectorNoise()
     assert a.m2m_conf == m2m.conf_threshold == snap["m2m_conf"]
     assert tuple(a.l2s_confs) == l2s.conf_threshold == snap["l2s_confs"]
     assert tuple(a.l2s_scales) == l2s.scale == snap["l2s_scales"]
@@ -95,6 +117,31 @@ def test_missing_required_flag_is_usage_error(capsys):
 
 def test_internal_validation_is_usage_error(tmp_path, capsys):
     assert run("synth", "--out", tmp_path / "d", "--moving-fraction", "2.0") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["filter", "--labels", "EMPTY", "--conf", 1.5],
+    ["filter", "--labels", "EMPTY", "--conf", "nan"],
+    ["filter", "--labels", "EMPTY", "--gt-overlap", "--gt", "EMPTY", "--min-iou", 3],
+    ["rescale", "--labels", "EMPTY", "--scale", 1.5],
+    ["rescale", "--labels", "EMPTY", "--scale", 0],
+    ["aggregate", "--large", "EMPTY", "--small", "EMPTY", "--nms", "--nms-iou", 7],
+    ["aggregate", "--large", "EMPTY", "--small", "EMPTY", "--nms", "--nms-iou", -1],
+])
+def test_out_of_range_value_is_usage_error_without_frames(tmp_path, capsys, argv):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    argv = [empty if a == "EMPTY" else a for a in argv]
+    assert run(*argv, "--out", tmp_path / "o") == 2
+    assert "must lie in" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("cmd", COMMANDS)
+def test_workers_below_one_is_usage_error_in_every_subcommand(tmp_path, capsys, cmd):
+    assert run(cmd, *required(cmd, tmp_path), "--workers", 0) == 2
+    assert "argument --workers: must be at least 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- synth + init-labels ------------------------------------------------------
@@ -384,6 +431,32 @@ def test_config_satisfies_required_exclusive_group(dataset, tmp_path):
                "--out", tmp_path / "f") == 0
     assert tree_bytes(tmp_path / "c") == tree_bytes(tmp_path / "f")
     assert len(tree_bytes(tmp_path / "c")) == 3
+
+
+def test_config_string_value_may_start_with_a_dash(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": "-d", "frames": 1}))
+    assert run("synth", "--config", cfg) == 0
+    assert (tmp_path / "-d" / "depth" / "000000.dpf1").is_file()
+
+
+@pytest.mark.parametrize("cmd, entry, cls, field, want", [
+    ("synth", {"objects": [2, 4]}, SceneSpec, "n_objects", (2, 4)),
+    ("pipeline", {"mock-jitter": 1}, DetectorNoise, "mask_jitter", 1),
+    ("pipeline", {"mock_fp": 2}, DetectorNoise, "false_positives", 2),
+])
+def test_config_keys_are_flag_names_for_renamed_fields(tmp_path, cmd, entry, cls, field, want):
+    parser, subs = build_parser()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    argv, _ = _with_config(subs, [cmd, "--config", str(cfg), *map(str, required(cmd, "d"))])
+    built = _from_flags(cls, parser.parse_args(argv))
+    assert getattr(built, field) == want != getattr(cls(), field)
+    # the field name is not a flag name
+    cfg.write_text(json.dumps({field: want}))
+    with pytest.raises(ValueError, match="unknown option"):
+        _with_config(subs, [cmd, "--config", str(cfg)])
 
 
 def test_config_abbreviated_flag_is_usage_error(tmp_path):

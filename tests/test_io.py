@@ -275,13 +275,12 @@ def test_transform_validation(tmp_path):
 def test_dataset_layout_validate(tmp_path):
     ds = DatasetLayout(tmp_path / "data")
     ds.ensure_dirs()
-    fid = DatasetLayout.frame_name(3)
-    assert fid == "000003"
+    fid = "000003"
     write_depth(ds.depth_path(fid), np.full((4, 5), 2.0, dtype=np.float32))
     write_motion(ds.motion_path(fid), np.zeros((4, 5)))
     assert ds.validate() == [fid]
 
-    fid2 = DatasetLayout.frame_name(4)
+    fid2 = "000004"
     write_depth(ds.depth_path(fid2), np.full((4, 5), 2.0, dtype=np.float32))
     with pytest.raises(FrameMismatch):
         ds.validate()  # depth without motion
