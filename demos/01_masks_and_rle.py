@@ -1,4 +1,4 @@
-"""Mask basics: RLE round trips, boxes, IoU, components, NMS."""
+"""Mask basics: RLE round trips, boxes, IoU, NMS."""
 import numpy as np
 
 from mobilabel import (
@@ -6,7 +6,6 @@ from mobilabel import (
     LabelSet,
     PreparedMask,
     bbox_of,
-    connected_components,
     iou,
     mask_area,
     nms,
@@ -26,10 +25,6 @@ rle = rle_encode(mask)
 print("rle counts:", rle.counts)
 print("round trip exact:", np.array_equal(rle_decode(rle), mask))
 print("area:", mask_area(mask), "box:", bbox_of(mask))
-
-# connected components split the blobs back apart
-parts = connected_components(mask)
-print("components:", len(parts), "areas:", sorted(mask_area(p) for p in parts))
 
 # IoU of two shifted copies of the same rectangle; a prepared mask keeps
 # only the bitmap of its tight box, which is all the IoU kernel reads

@@ -10,7 +10,6 @@ import numpy as np
 
 from mobilabel import (
     DbscanParams,
-    connected_components,
     dbscan_partition,
     make_initial_labels,
     mask_area,
@@ -22,12 +21,15 @@ depth, motion, k, expected = occlusion_fixture()
 print("frame:", depth.shape, "intrinsics: fx=%.1f fy=%.1f cx=%.1f cy=%.1f" % (k.fx, k.fy, k.cx, k.cy))
 print("moving pixels:", int((motion >= 0.5).sum()))
 
-# 2D contouring sees one merged component
-flat = connected_components(motion >= 0.5, connectivity=8)
+# 2D contouring sees one merged blob: the same DBSCAN over a flat depth,
+# with 8-neighbors only, gives the 8-connected components of the mask
+moving = motion >= 0.5
+flat = dbscan_partition(unproject(np.ones_like(depth), k, moving),
+                        DbscanParams(min_pts=1, pixel_window=3), depth.shape)
 print("contour components:", len(flat))
 
 # lifting to 3D separates the blocks by depth
-pts = unproject(depth, k, motion >= 0.5)
+pts = unproject(depth, k, moving)
 print("unprojected points:", len(pts), "first:", pts[0])
 
 clusters = dbscan_partition(pts, DbscanParams(), depth.shape)

@@ -31,7 +31,6 @@ from .maskcore import (
     Rle,
     bbox_of,
     box_iou,
-    connected_components,
     coverage,
     intersection,
     iou,
@@ -80,7 +79,7 @@ __all__ = [
     "DbscanParams", "DetectorExchange", "DetectorNoise", "EvalConfig", "EvalReport",
     "InstanceLabel", "LabelSet", "PreparedMask", "Rle", "RoundConfig", "STAGES",
     "ScaleTransform", "SceneSpec", "bbox_of", "binarize_motion", "box_iou",
-    "build_round", "connected_components", "coverage", "dbscan_partition",
+    "build_round", "coverage", "dbscan_partition",
     "default_config_snapshot", "default_stages", "evaluate", "generate_scene",
     "gt_overlap_filter", "intersection", "invert_labels", "iou", "make_initial_labels",
     "make_transform", "mask_agg", "mask_area", "mock_detector", "nms",

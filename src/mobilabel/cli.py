@@ -15,12 +15,15 @@ is read from the code that owns it.  The flags of a config object
 (SceneSpec, DbscanParams, AggParams, DetectorNoise, EvalConfig) store
 under its field names and default to a default instance's values, and
 each command builds the object from them by name.  argparse enforces
-required flags, --workers >= 1 and the ranges of --conf, --min-iou,
---nms-iou and --scale before any frame is read.  A --config file (flat
-JSON object keyed by flag names) is parsed as flags placed before the
-explicit ones, which win over it.  Exit codes: 0 success, 1 internal
-error, 2 usage or contract violation, 3 missing inputs.  All outputs
-are byte-deterministic and independent of --workers.
+required flags, --workers >= 1, synth --frames >= 1 and the ranges of
+--conf, --min-iou, --nms-iou and --scale before any frame is read.
+--seed exists only where random numbers are drawn (synth, pipeline) and
+-v only where per-frame progress is printed (synth, init-labels).  A
+--config file (flat JSON object keyed by flag names) is parsed as flags
+placed before the explicit ones, which win over it.  Exit codes: 0
+success, 1 internal error, 2 usage or contract violation, 3 missing
+inputs.  All outputs are byte-deterministic and independent of
+--workers.
 """
 
 import argparse
@@ -393,9 +396,24 @@ def _add_common(sp) -> None:
     sp.add_argument("--workers", type=_COUNT, default=1,
                     help="worker processes over frames for synth, init-labels, rescale, "
                          "aggregate and filter; eval and pipeline run in one process")
+
+
+def _add_seed(sp) -> None:
     sp.add_argument("--seed", type=int, default=0, help="random seed")
+
+
+def _add_verbose(sp) -> None:
     sp.add_argument("-v", "--verbose", action="store_true",
                     help="per-frame progress on stderr")
+
+
+def _add_agg_flags(sp) -> None:
+    sp.add_argument("--match-thrd", type=float,
+                    help="IoU above which two masks count as the same object")
+    sp.add_argument("--filt-frac", type=float,
+                    help="coverage above which pre-filters drop a mask")
+    sp.add_argument("--cover-frac", type=float,
+                    help="coverage above which parts replace a large mask")
 
 
 def _flag_defaults(obj) -> dict:
@@ -416,7 +434,7 @@ def build_parser():
     sp = subs.add_parser("synth", formatter_class=fmt,
                          help="generate a synthetic dataset directory")
     sp.add_argument("--out", required=True, help="(required) dataset directory to create")
-    sp.add_argument("--frames", type=int, default=10, help="number of frames")
+    sp.add_argument("--frames", type=_COUNT, default=10, help="number of frames")
     sp.add_argument("--height", type=int)
     sp.add_argument("--width", type=int)
     sp.add_argument("--objects", dest="n_objects", type=int, nargs=2,
@@ -432,6 +450,8 @@ def build_parser():
                     help="motion probability box-blur radius, pixels")
     sp.add_argument("--margin", type=int, help="object gap and border margin, pixels")
     _add_common(sp)
+    _add_seed(sp)
+    _add_verbose(sp)
     sp.set_defaults(fn=cmd_synth, **_flag_defaults(SceneSpec()))
 
     sp = subs.add_parser("init-labels", formatter_class=fmt,
@@ -448,6 +468,7 @@ def build_parser():
     sp.add_argument("--min-area", type=int, default=init["min_area"].default,
                     help="drop clusters below this pixel area")
     _add_common(sp)
+    _add_verbose(sp)
     sp.set_defaults(fn=cmd_init_labels, **_flag_defaults(DbscanParams()))
 
     sp = subs.add_parser("rescale", formatter_class=fmt,
@@ -470,12 +491,7 @@ def build_parser():
     sp.add_argument("--large", required=True, help="(required) large-scale labels directory")
     sp.add_argument("--small", required=True, help="(required) small-scale labels directory")
     sp.add_argument("--out", required=True, help="(required) output labels directory")
-    sp.add_argument("--match-thrd", type=float,
-                    help="IoU above which two masks count as the same object")
-    sp.add_argument("--filt-frac", type=float,
-                    help="coverage above which pre-filters drop a mask")
-    sp.add_argument("--cover-frac", type=float,
-                    help="coverage above which parts replace a large mask")
+    _add_agg_flags(sp)
     sp.add_argument("--nms", action="store_true",
                     help="greedy suppression baseline instead of mask aggregation")
     sp.add_argument("--nms-iou", type=_UNIT, default=0.5,
@@ -525,9 +541,7 @@ def build_parser():
                     metavar=("LARGE", "SMALL"), help="two-scale inference factors")
     sp.add_argument("--jitter", type=float, nargs=2, default=list(m2m.scale),
                     metavar=("LO", "HI"), help="training scale jitter range")
-    sp.add_argument("--match-thrd", type=float)
-    sp.add_argument("--filt-frac", type=float)
-    sp.add_argument("--cover-frac", type=float)
+    _add_agg_flags(sp)
     sp.add_argument("--m2m-epochs", type=int, default=m2m.epochs,
                     help="advisory epoch count for the first round")
     sp.add_argument("--l2s-epochs", type=int, default=l2s.epochs)
@@ -545,6 +559,7 @@ def build_parser():
     sp.add_argument("--mock-fp", dest="false_positives", metavar="MOCK_FP", type=int,
                     help="mock false positives per frame")
     _add_common(sp)
+    _add_seed(sp)
     sp.set_defaults(fn=cmd_pipeline, **_flag_defaults(l2s.agg),
                     **_flag_defaults(DetectorNoise()))
 

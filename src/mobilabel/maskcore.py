@@ -1,4 +1,4 @@
-"""Binary-mask primitives: RLE codec, IoU, coverage, components, boxes.
+"""Binary-mask primitives: RLE codec, IoU, coverage, boxes.
 
 A binary mask is a 2D ``numpy`` array of ``bool`` with shape (height,
 width). Stored masks are :class:`Rle`. :class:`PreparedMask`, a mask's
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DimensionMismatch, EmptyMask, EmptyTarget, SumMismatch
 
@@ -28,7 +27,6 @@ __all__ = [
     "iou",
     "box_iou",
     "coverage",
-    "connected_components",
     "bbox_of",
 ]
 
@@ -258,33 +256,6 @@ def coverage(refs, targ: PreparedMask) -> float:
             part = _view(covered, targ.row, targ.col, win)
             part |= _view(m.bits, m.row, m.col, win)
     return int(np.count_nonzero(covered & targ.bits)) / targ.area
-
-
-_STRUCT_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-_STRUCT_8 = np.ones((3, 3), dtype=bool)
-
-
-def connected_components(mask: np.ndarray, connectivity: int = 8) -> list[np.ndarray]:
-    """Split foreground into maximal connected regions.
-
-    Regions are returned ordered by (min row, min col) of their pixels,
-    which makes the output deterministic. An empty mask yields ``[]``.
-    """
-    mask = _check_mask(mask)
-    if connectivity == 4:
-        structure = _STRUCT_4
-    elif connectivity == 8:
-        structure = _STRUCT_8
-    else:
-        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
-    labeled, n = ndimage.label(mask, structure=structure)
-    comps = []
-    for i in range(1, n + 1):
-        comp = labeled == i
-        rows, cols = np.nonzero(comp)
-        comps.append((int(rows.min()), int(cols.min()), comp))
-    comps.sort(key=lambda t: (t[0], t[1]))
-    return [c for _, _, c in comps]
 
 
 def bbox_of(mask: np.ndarray) -> BBox:

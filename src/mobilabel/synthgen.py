@@ -18,7 +18,6 @@ driven by a caller-provided generator so rounds can be replayed.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import PlacementFailure
 from .initlabel import CameraIntrinsics, InstanceLabel, LabelSet
@@ -138,13 +137,13 @@ def generate_scene(spec: SceneSpec, frame_index: int = 0):
         placed.append((y0, x0, _object_mask(oh, ow, ellipse), d))
 
     depth = _background_ramp(spec)
-    motion = np.zeros((h, w), dtype=np.float64)
+    motion = np.zeros((h, w), dtype=bool)
     instances = []
     for i, (y0, x0, local, d) in enumerate(placed):
         box = np.s_[y0:y0 + local.shape[0], x0:x0 + local.shape[1]]
         depth[box][local] = d
         if moving[i]:
-            motion[box][local] = 1.0
+            motion[box][local] = True
         instances.append(InstanceLabel.from_mask(
             PreparedMask.from_bits(local, y0, x0, (h, w)), 1.0, i,
             attributes={"moving": bool(moving[i])}))
@@ -153,9 +152,18 @@ def generate_scene(spec: SceneSpec, frame_index: int = 0):
         depth = depth + rng.normal(0.0, spec.depth_sigma, size=(h, w))
         np.maximum(depth, 1e-3, out=depth)  # depth must stay positive
     if spec.motion_blur > 0:
-        size = 2 * spec.motion_blur + 1
-        motion = ndimage.uniform_filter(motion, size=size, mode="constant", cval=0.0)
-        np.clip(motion, 0.0, 1.0, out=motion)
+        # Box mean over a zero border as exact window counts: a row pass,
+        # then a column pass, in the narrowest dtype that holds size**2.
+        r, size = spec.motion_blur, 2 * spec.motion_blur + 1
+        padded = np.zeros((h + 2 * r, w + 2 * r), dtype=np.min_scalar_type(size * size))
+        padded[r:r + h, r:r + w] = motion
+        rows = padded[:h].copy()
+        for d in range(1, size):
+            rows += padded[d:d + h]
+        counts = rows[:, :w].copy()
+        for d in range(1, size):
+            counts += rows[:, d:d + w]
+        motion = counts / np.float32(size * size)
 
     gt = LabelSet(f"{frame_index:06d}", h, w, instances)
     return depth.astype(np.float32), motion.astype(np.float32), scene_intrinsics(spec), gt

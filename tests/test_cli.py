@@ -1,6 +1,10 @@
 import inspect
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,9 +62,11 @@ def test_every_subcommand_has_help(capsys):
 def test_help_shows_stock_defaults(capsys):
     run("init-labels", "--help")
     assert "0.1" in capsys.readouterr().out
-    run("aggregate", "--help")
-    out = capsys.readouterr().out
-    assert "0.5" in out and "0.75" in out
+    for cmd in ("aggregate", "pipeline"):
+        run(cmd, "--help")
+        out = " ".join(capsys.readouterr().out.split())
+        assert "0.5" in out and "0.75" in out
+        assert "IoU above which two masks count as the same object (default: 0.5)" in out
 
 
 def test_flag_defaults_come_from_the_library():
@@ -127,14 +133,28 @@ def test_internal_validation_is_usage_error(tmp_path, capsys):
     ["rescale", "--labels", "EMPTY", "--scale", 0],
     ["aggregate", "--large", "EMPTY", "--small", "EMPTY", "--nms", "--nms-iou", 7],
     ["aggregate", "--large", "EMPTY", "--small", "EMPTY", "--nms", "--nms-iou", -1],
+    ["synth", "--frames", 0],
+    ["synth", "--frames", -3],
 ])
 def test_out_of_range_value_is_usage_error_without_frames(tmp_path, capsys, argv):
     empty = tmp_path / "empty"
     empty.mkdir()
     argv = [empty if a == "EMPTY" else a for a in argv]
     assert run(*argv, "--out", tmp_path / "o") == 2
-    assert "must lie in" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "must lie in" in err or "must be at least 1" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("cmd,flag", [
+    *((cmd, "--seed") for cmd in ("init-labels", "rescale", "aggregate", "filter", "eval")),
+    *((cmd, "-v") for cmd in ("rescale", "aggregate", "filter", "eval", "pipeline")),
+])
+def test_seed_and_verbose_only_where_they_act(tmp_path, capsys, cmd, flag):
+    argv = [flag, 3] if flag == "--seed" else [flag]
+    assert run(cmd, *required(cmd, tmp_path), *argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("cmd", COMMANDS)
@@ -145,6 +165,25 @@ def test_workers_below_one_is_usage_error_in_every_subcommand(tmp_path, capsys, 
 
 
 # -- synth + init-labels ------------------------------------------------------
+
+def test_synth_and_init_labels_run_without_scipy(tmp_path):
+    script = """if True:
+        import sys
+        sys.modules["scipy"] = None  # any scipy import now raises ImportError
+        from mobilabel.cli import main
+        data, out = sys.argv[1:]
+        sys.exit(main(["synth", "--out", data, "--frames", "2", "--motion-blur", "2",
+                       "--depth-sigma", "0.05"])
+                 or main(["init-labels", "--data", data, "--out", out]))
+    """
+    src = Path(mobilabel.cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "d"),
+                           str(tmp_path / "l0")], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert sorted(p.name for p in (tmp_path / "l0").iterdir()) == ["000000.json", "000001.json"]
+
 
 def test_synth_layout_and_determinism(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"

@@ -15,7 +15,7 @@ from mobilabel.initlabel import (
     project,
     unproject,
 )
-from mobilabel.maskcore import PreparedMask, connected_components, rle_decode, rle_encode
+from mobilabel.maskcore import PreparedMask, rle_decode, rle_encode
 
 from oracles import dbscan_ref
 
@@ -246,11 +246,17 @@ def test_dbscan_orders_by_box_corner_not_first_pixel():
 
 # -- contour baseline: 8-connected components of the motion blob ------
 
+def contour_blobs(moving):
+    """The depth-blind baseline: DBSCAN over flat points, 8-neighbors only."""
+    pts = [(r, c, 0.0, 0.0, 0.0) for r, c in zip(*np.nonzero(moving))]
+    return dbscan_partition(pts, DbscanParams(min_pts=1, pixel_window=3), moving.shape)
+
+
 def test_contour_two_regions():
     moving = np.zeros((10, 10), dtype=bool)
     moving[1:3, 1:3] = True
     moving[6:9, 6:9] = True
-    assert len(connected_components(moving, connectivity=8)) == 2
+    assert len(contour_blobs(moving)) == 2
 
 
 def test_contour_merges_depth_separated_objects():
@@ -258,11 +264,11 @@ def test_contour_merges_depth_separated_objects():
     moving = np.zeros((12, 20), dtype=bool)
     moving[2:8, 2:7] = True
     moving[2:8, 7:12] = True
-    assert len(connected_components(moving, connectivity=8)) == 1
+    assert len(contour_blobs(moving)) == 1
 
 
 def test_contour_empty():
-    assert connected_components(np.zeros((5, 5), dtype=bool), connectivity=8) == []
+    assert contour_blobs(np.zeros((5, 5), dtype=bool)) == []
 
 
 # -- end-to-end L0 ------------------------------------------------------

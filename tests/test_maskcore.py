@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mobilabel.errors import DimensionMismatch, EmptyMask, EmptyTarget, SumMismatch
+from mobilabel.initlabel import DbscanParams, dbscan_partition
 from mobilabel.maskcore import (
     BBox,
     PreparedMask,
     Rle,
     bbox_of,
     box_iou,
-    connected_components,
     coverage,
     intersection,
     iou,
@@ -257,48 +257,20 @@ def test_encoder_edge_placements():
 
 # -- components --------------------------------------------------------
 
-def test_components_two_blobs():
-    m = mask_from_pixels(6, 6, [(0, 0), (0, 1), (4, 4), (4, 5), (5, 4)])
-    comps = connected_components(m)
-    assert len(comps) == 2
-    assert mask_area(comps[0]) == 2
-    assert mask_area(comps[1]) == 3
-
-
-def test_components_empty():
-    assert connected_components(np.zeros((3, 3), dtype=bool)) == []
-
-
-def test_components_diagonal_connectivity():
-    m = mask_from_pixels(3, 3, [(0, 0), (1, 1)])
-    assert len(connected_components(m, connectivity=8)) == 1
-    assert len(connected_components(m, connectivity=4)) == 2
-
-
-def test_components_rejects_bad_connectivity():
-    with pytest.raises(ValueError):
-        connected_components(np.zeros((2, 2), dtype=bool), connectivity=6)
-
-
-def test_components_ordering_by_top_left():
-    # second blob starts on a later row but an earlier column
-    m = mask_from_pixels(6, 6, [(0, 4), (3, 0)])
-    comps = connected_components(m)
-    assert comps[0][0, 4] and comps[1][3, 0]
-
-
-@given(masks, st.sampled_from([4, 8]))
+@given(masks)
+@example(mask_from_pixels(6, 6, [(0, 0), (0, 1), (4, 4), (4, 5), (5, 4)]))
+@example(mask_from_pixels(3, 3, [(0, 0), (1, 1)]))  # diagonal neighbors join
+@example(mask_from_pixels(6, 6, [(0, 4), (3, 0)]))  # later row, earlier column
+@example(np.zeros((3, 3), dtype=bool))
 @settings(max_examples=60)
-def test_components_match_reference(m, conn):
-    got = connected_components(m, connectivity=conn)
-    ref = components_ref(m, connectivity=conn)
+def test_components_match_reference(m):
+    # the depth-blind 2D baseline: DBSCAN over flat points, 8-neighbors only
+    pts = np.column_stack([*np.nonzero(m), np.zeros((mask_area(m), 3))])
+    got = dbscan_partition(pts, DbscanParams(min_pts=1, pixel_window=3), m.shape)
+    ref = components_ref(m, connectivity=8)
     assert len(got) == len(ref)
     for g, r in zip(got, ref):
         assert np.array_equal(g, r)
-    if got:
-        assert np.array_equal(np.logical_or.reduce(got), m)
-        total = sum(mask_area(g) for g in got)
-        assert total == mask_area(m)  # pairwise disjoint
 
 
 # -- boxes -------------------------------------------------------------

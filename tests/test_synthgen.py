@@ -110,6 +110,48 @@ def test_motion_foreground_equals_moving_union():
     assert np.array_equal(binarize_motion(motion, 1.0), want)
 
 
+def _unblurred_motion(gt):
+    motion = np.zeros((gt.height, gt.width), dtype=bool)
+    for inst in gt.instances:
+        if inst.attributes["moving"]:
+            motion |= rle_decode(inst.mask)
+    return motion
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_motion_blur_is_exact_window_count(r):
+    size = 2 * r + 1
+    touched = False
+    for seed in range(4):
+        spec = SceneSpec(seed=seed, height=24, width=32, n_objects=(3, 3),
+                         size_range=(6, 14), margin=0, moving_fraction=1.0, motion_blur=r)
+        _, motion, _, gt = generate_scene(spec, 0)
+        pre = _unblurred_motion(gt)
+        touched |= bool(pre[[0, -1]].any() or pre[:, [0, -1]].any())
+        counts = motion.astype(np.float64) * size * size
+        assert np.abs(counts - np.round(counts)).max() < 1e-4
+        want = np.array([[pre[max(i - r, 0):i + r + 1, max(j - r, 0):j + r + 1].sum()
+                          for j in range(spec.width)] for i in range(spec.height)])
+        assert np.array_equal(np.round(counts), want)
+        # the exact mean, rounded once to float32
+        assert np.array_equal(motion, want.astype(np.float32) / np.float32(size * size))
+    assert touched  # some object lies on the frame border
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_motion_blur_matches_scipy_uniform_filter(r):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    for seed in range(3):
+        spec = SceneSpec(seed=seed, n_objects=(4, 8), depth_sigma=0.05, motion_blur=r)
+        _, motion, _, gt = generate_scene(spec, seed)
+        pre = _unblurred_motion(gt).astype(np.float64)
+        ref = ndimage.uniform_filter(pre, size=2 * r + 1, mode="constant", cval=0.0)
+        ref = np.clip(ref, 0.0, 1.0).astype(np.float32)
+        assert np.array_equal(np.round(motion.astype(np.float64) * 255.0),
+                              np.round(ref.astype(np.float64) * 255.0))
+        assert np.abs(motion - ref).max() <= 1e-6
+
+
 def test_zero_noise_scene_is_recovered_by_initial_labels():
     spec = SceneSpec(seed=5, n_objects=(4, 4), moving_fraction=0.5)
     depth, motion, k, gt = generate_scene(spec, 0)
