@@ -136,12 +136,12 @@ def unproject(depth: np.ndarray, k: CameraIntrinsics, moving: np.ndarray) -> np.
     array of (row, col, x, y, z). Integer (row, col) addresses the pixel
     center; u = col, v = row: x = (u - cx) / fx * d, y = (v - cy) / fy * d, z = d.
     """
-    depth = np.asarray(depth, dtype=np.float64)
+    depth = np.asarray(depth)
     moving = np.asarray(moving, dtype=bool)
     if depth.shape != moving.shape:
         raise DimensionMismatch(f"depth {depth.shape} vs motion {moving.shape}")
     rows, cols = np.nonzero(moving)
-    d = depth[rows, cols]
+    d = depth[rows, cols].astype(np.float64)  # widen only the picked pixels
     bad = ~np.isfinite(d) | (d <= 0)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
@@ -159,21 +159,26 @@ def project(p, k: CameraIntrinsics) -> tuple[float, float]:
     return v, u
 
 
-def _neighbor_pairs(rows, cols, xyz, params):
-    """Yield the (i, j) index arrays of the neighbor pairs, each pair once,
-    one forward pixel offset at a time, read off an index raster (-1: no
-    point) padded by the window half-width so no lookup needs a bounds check."""
+def _neighbor_pairs(rows, cols, x, y, z, params):
+    """Yield the (i, j) index arrays of the neighbor pairs of row-major
+    points, each pair once with i < j, one forward pixel offset at a time.
+    Neighbors are read off a flat index raster (-1: no point) padded by the
+    window half-width on every side, so no lookup needs a bounds check and no
+    offset wraps to another row; distances come from the x, y, z columns."""
     half, eps2 = params.pixel_window // 2, params.eps * params.eps
     r, c = rows - rows.min() + half, cols - cols.min() + half
-    raster = np.full((r.max() + half + 1, c.max() + half + 1), -1, dtype=np.int32)
-    raster[r, c] = np.arange(len(rows), dtype=np.int32)
+    width = int(c.max()) + half + 1
+    raster = np.full((int(r.max()) + half + 1) * width, -1, dtype=np.int32)
+    at = r * width + c
+    raster[at] = np.arange(len(rows), dtype=np.int32)
     for dr in range(half + 1):
         for dc in range(-half if dr else 1, half + 1):
-            j = raster[r + dr, c + dc]
+            j = raster.take(at + (dr * width + dc))
             i = np.flatnonzero(j >= 0)
-            d = xyz[j[i]] - xyz[i]
-            i = i[d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] <= eps2]
-            yield i, j[i]
+            j = j[i]
+            dx, dy, dz = x.take(j) - x.take(i), y.take(j) - y.take(i), z.take(j) - z.take(i)
+            near = dx * dx + dy * dy + dz * dz <= eps2
+            yield i[near], j[near]
 
 
 def _union(root, a, b):
@@ -183,8 +188,8 @@ def _union(root, a, b):
         lo, hi = np.minimum(root[a], root[b]), np.maximum(root[a], root[b])
         apart = lo != hi
         np.minimum.at(root, hi[apart], lo[apart])
-        while not np.array_equal(root[root], root):
-            root[:] = root[root]
+        while not np.array_equal(up := root[root], root):
+            root[:] = up
         a, b = a[apart], b[apart]
 
 
@@ -203,7 +208,12 @@ def dbscan_partition(points, params: DbscanParams, shape: tuple[int, int]) -> li
 
 
 def _clusters(points, params: DbscanParams, shape: tuple[int, int]) -> list[PreparedMask]:
-    """:func:`dbscan_partition`'s clusters as box-domain masks, in its order."""
+    """:func:`dbscan_partition`'s clusters as box-domain masks, in its order.
+
+    Two passes over :func:`_neighbor_pairs`, which recomputes each offset's
+    pairs rather than holding them all: one counts the neighbors to find the
+    core points, the other unions core-core pairs and collects the core ->
+    non-core edges, both ways, that place the border points afterwards."""
     pts = np.asarray(points, dtype=np.float64)
     if len(pts) == 0:
         return []
@@ -213,26 +223,26 @@ def _clusters(points, params: DbscanParams, shape: tuple[int, int]) -> list[Prep
     rows, cols = pts[:, 0].astype(np.int64), pts[:, 1].astype(np.int64)
     if ((np.diff(rows) == 0) & (np.diff(cols) == 0)).any():
         raise ValueError("two points share a pixel")
-    xyz, n = np.ascontiguousarray(pts[:, 2:]), len(pts)
+    xyz, n = np.ascontiguousarray(pts[:, 2:].T), len(pts)
 
     degree = np.ones(n, dtype=np.int64)  # a point is its own neighbor
-    for i, j in _neighbor_pairs(rows, cols, xyz, params):
+    for i, j in _neighbor_pairs(rows, cols, *xyz, params):
         degree += np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
     core = degree >= params.min_pts
     if not core.any():
         return []
     # clusters are the core-core components, created in the order of their
-    # first core point, which is each component's root
-    root = np.arange(n)
-    for i, j in _neighbor_pairs(rows, cols, xyz, params):
-        both = core[i] & core[j]
-        _union(root, i[both], j[both])
+    # first core point, which is each component's root; the empty edge pair
+    # covers pixel_window 1, which has no offsets and so no pairs at all
+    root, edges = np.arange(n), [(np.empty(0, np.int64), np.empty(0, np.int64))]
+    for i, j in _neighbor_pairs(rows, cols, *xyz, params):
+        ci, cj = core[i], core[j]
+        _union(root, i[ci & cj], j[ci & cj])
+        edges += [(i[ci & ~cj], j[ci & ~cj]), (j[cj & ~ci], i[cj & ~ci])]
     # a border point joins the earliest-created cluster with a core neighbor
     label = np.where(core, root, n)
-    for i, j in _neighbor_pairs(rows, cols, xyz, params):
-        for a, b in ((i, j), (j, i)):
-            edge = core[a] & ~core[b]
-            np.minimum.at(label, b[edge], root[a[edge]])
+    a, b = (np.concatenate(e) for e in zip(*edges))
+    np.minimum.at(label, b, root[a])
 
     member = np.argsort(label, kind="stable")[:np.count_nonzero(label < n)]
     out = []

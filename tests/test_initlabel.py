@@ -9,6 +9,7 @@ from mobilabel.initlabel import (
     DbscanParams,
     InstanceLabel,
     LabelSet,
+    _neighbor_pairs,
     binarize_motion,
     dbscan_partition,
     make_initial_labels,
@@ -75,6 +76,16 @@ def test_unproject_nonpositive_depth():
     with pytest.raises(NonPositiveDepth) as exc:
         unproject(depth, K_PLAIN, moving)
     assert (exc.value.row, exc.value.col) == (1, 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int32, np.uint16])
+def test_unproject_widens_any_depth_dtype_like_float64(dtype):
+    rng = np.random.default_rng(3)
+    depth = (rng.integers(1, 60, (9, 11)) * 1.5).astype(dtype)
+    moving = rng.random((9, 11)) < 0.4
+    got = unproject(depth, K_PLAIN, moving)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, unproject(depth.astype(np.float64), K_PLAIN, moving))
 
 
 def test_unproject_dimension_mismatch():
@@ -242,6 +253,91 @@ def test_dbscan_orders_by_box_corner_not_first_pixel():
     got = dbscan_partition(pts, DbscanParams(), (8, 10))
     assert len(got) == 2
     assert np.array_equal(got[0], a) and np.array_equal(got[1], b)
+
+
+# Neighbors are read off a flat index raster padded by the window
+# half-width. An offset that wrapped across a row would pair points at the
+# ends of adjacent rows; these layouts put points where that shows.
+
+def scatter_points(rng, cells):
+    """(row, col, x, y, z) points on the given pixels, in 3D loosely spaced
+    like the pixels so that about half the window pairs lie within eps 1."""
+    cells = sorted(cells)
+    jitter = rng.normal(0, 0.5, (len(cells), 2))
+    depth = rng.choice([10.0, 10.3, 12.0], len(cells))
+    return [(r, c, 0.3 * c + jx, 0.3 * r + jy, z)
+            for (r, c), (jx, jy), z in zip(cells, jitter, depth)]
+
+
+def box_cells(rng, h, w, fill):
+    """A random subset of an h x w pixel box placed at (5, 7)."""
+    flat = rng.choice(h * w, size=max(1, round(fill * h * w)), replace=False)
+    return [(5 + int(f) // w, 7 + int(f) % w) for f in flat]
+
+
+@pytest.mark.parametrize("layout, pixel_window", [
+    ("row", 3), ("row", 10), ("row", 21),
+    ("column", 3), ("column", 10), ("column", 21),
+    ("narrow", 11), ("narrow", 21),
+    ("square", 2), ("square", 4),
+])
+@pytest.mark.parametrize("seed", range(4))
+def test_dbscan_flat_raster_layouts_match_bruteforce(layout, pixel_window, seed):
+    rng = np.random.default_rng(seed)
+    h, w = {"row": (1, 40), "column": (40, 1), "narrow": (int(rng.integers(2, 6)), 3),
+            "square": (12, 12)}[layout]
+    pts = scatter_points(rng, box_cells(rng, h, w, 0.6))
+    for min_pts in (1, 2, 3, 5):
+        params = DbscanParams(eps=1.0, min_pts=min_pts, pixel_window=pixel_window)
+        got = dbscan_partition(pts, params, (60, 60))
+        assert masks_to_pixel_sets(got) == clusters_from_ref(pts, params)
+
+
+@pytest.mark.parametrize("min_pts", [1, 2])
+def test_dbscan_pixel_window_one_has_no_neighbors(min_pts):
+    # no pixel offsets at all: every point is its own cluster, or noise
+    pts = scatter_points(np.random.default_rng(0), [(0, 0), (0, 1), (1, 0), (3, 3)])
+    params = DbscanParams(eps=5.0, min_pts=min_pts, pixel_window=1)
+    got = dbscan_partition(pts, params, (4, 4))
+    assert masks_to_pixel_sets(got) == clusters_from_ref(pts, params)
+    assert len(got) == (4 if min_pts == 1 else 0)
+
+
+@pytest.mark.parametrize("axis", [2, 3, 4])
+@pytest.mark.parametrize("eps", [1.0, 0.5, 0.25])
+def test_dbscan_pair_exactly_eps_apart_are_neighbors(axis, eps):
+    a = [1, 2, 0.0, 0.0, 10.0]
+    params = DbscanParams(eps=eps, min_pts=2, pixel_window=3)
+    for far, clusters in ((a[axis] + eps, 1), (np.nextafter(a[axis] + eps, np.inf), 0)):
+        b = [1, 3, 0.0, 0.0, 10.0]
+        b[axis] = far
+        got = dbscan_partition([a, b], params, (3, 5))
+        assert len(got) == clusters
+        assert masks_to_pixel_sets(got) == clusters_from_ref([a, b], params)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_neighbor_pairs_are_the_window_pairs_within_eps_once(seed):
+    rng = np.random.default_rng(seed)
+    h, w = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    pts = np.array(scatter_points(rng, box_cells(rng, h, w, rng.uniform(0.1, 1.0))))
+    params = DbscanParams(eps=float(rng.choice([0.5, 1.0, 2.0])),
+                          pixel_window=int(rng.choice([1, 2, 3, 4, 5, 10, 11, 21])))
+    rows, cols = pts[:, 0].astype(np.int64), pts[:, 1].astype(np.int64)
+    got = [(int(i), int(j)) for a, b in _neighbor_pairs(rows, cols, *pts[:, 2:].T.copy(), params)
+           for i, j in zip(a, b)]
+    half, eps2 = params.pixel_window // 2, params.eps * params.eps
+    want = set()
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            d = pts[j, 2:] - pts[i, 2:]
+            if (abs(rows[j] - rows[i]) <= half and abs(cols[j] - cols[i]) <= half
+                    and d[0] * d[0] + d[1] * d[1] + d[2] * d[2] <= eps2):
+                want.add((i, j))
+    assert len(got) == len(set(got))  # each pair once
+    assert all(i < j for i, j in got)
+    assert set(got) == want
 
 
 # -- contour baseline: 8-connected components of the motion blob ------
