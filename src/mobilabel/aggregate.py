@@ -14,7 +14,7 @@ prepared once per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DimensionMismatch
 from .initlabel import InstanceLabel, LabelSet
@@ -63,13 +63,8 @@ def _canonical(prepared: list[_Prepared]) -> list[_Prepared]:
 
 
 def _emit(frame: LabelSet, kept: list[_Prepared], reassign: bool) -> LabelSet:
-    instances = []
-    for n, p in enumerate(kept):
-        if reassign:
-            instances.append(InstanceLabel(mask=p.inst.mask, box=p.inst.box, score=p.inst.score,
-                                           instance_id=n, attributes=p.inst.attributes))
-        else:
-            instances.append(p.inst)
+    instances = [replace(p.inst, instance_id=n) if reassign else p.inst
+                 for n, p in enumerate(kept)]
     return LabelSet(frame.frame_id, frame.height, frame.width, instances)
 
 
@@ -91,13 +86,13 @@ def mask_agg(ml: LabelSet, ms: LabelSet, p: AggParams) -> LabelSet:
     """Aggregate large-branch and small-branch proposals.
 
     After pre-filtering both sets, each large mask is resolved against
-    the small masks overlapping it: none -> deferred to the final union;
+    the small masks overlapping it: none -> the large mask itself;
     exactly one with IoU above match_thrd -> the higher-scoring of the
     two; a subset covering the large mask beyond cover_frac -> the
     subset (group of objects); otherwise the large mask itself (the
-    small ones are parts). Finally every mask of either set with zero
-    overlap against the entire other set is added. Output ids are
-    reassigned in (score, id) order; scores are untouched.
+    small ones are parts). Every small mask that no large mask overlaps
+    is added too. Output ids are reassigned in (score, id) order;
+    scores are untouched.
     """
     if (ml.height, ml.width) != (ms.height, ms.width):
         raise DimensionMismatch(
@@ -107,7 +102,7 @@ def mask_agg(ml: LabelSet, ms: LabelSet, p: AggParams) -> LabelSet:
     small = _filter_larger(_canonical(_prepare(ms, 1)), p.filt_frac)
 
     agg: list[_Prepared] = []
-    chosen = set()
+    chosen, touched = set(), set()
 
     def add(q: _Prepared) -> None:
         if id(q) not in chosen:
@@ -116,9 +111,10 @@ def mask_agg(ml: LabelSet, ms: LabelSet, p: AggParams) -> LabelSet:
 
     for m in large:
         overlap = [s for s in small if intersection(s.mask, m.mask) > 0]
+        touched.update(id(s) for s in overlap)
         if not overlap:
-            continue  # picked up below iff nothing in MS ever touches it
-        if len(overlap) == 1 and iou(overlap[0].mask, m.mask) > p.match_thrd:
+            add(m)
+        elif len(overlap) == 1 and iou(overlap[0].mask, m.mask) > p.match_thrd:
             s = overlap[0]
             add(s if s.inst.score > m.inst.score else m)
         elif coverage([s.mask for s in overlap], m.mask) > p.cover_frac:
@@ -127,12 +123,8 @@ def mask_agg(ml: LabelSet, ms: LabelSet, p: AggParams) -> LabelSet:
         else:
             add(m)
 
-    small_masks, large_masks = [s.mask for s in small], [m.mask for m in large]
-    for m in large:
-        if coverage(small_masks, m.mask) == 0.0:
-            add(m)
     for s in small:
-        if coverage(large_masks, s.mask) == 0.0:
+        if id(s) not in touched:
             add(s)
 
     return _emit(ml, _canonical(agg), reassign=True)

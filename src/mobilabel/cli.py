@@ -40,7 +40,7 @@ import numpy as np
 
 from .aggregate import AggParams, mask_agg, nms
 from .errors import MissingPredictions, MobilabelError
-from .initlabel import DbscanParams, InstanceLabel, LabelSet, make_initial_labels
+from .initlabel import DbscanParams, LabelSet, make_initial_labels
 from .io import (
     DatasetLayout,
     _dump_json,
@@ -58,7 +58,7 @@ from .io import (
 )
 from .metrics import EvalConfig, evaluate
 from .rescale import invert_labels, make_transform, transform_labels, transform_raster
-from .rounds import RoundConfig, default_stages, gt_overlap_filter, run_pipeline, threshold_filter
+from .rounds import STAGES, RoundConfig, default_stages, gt_overlap_filter, run_pipeline, threshold_filter
 from .synthgen import DetectorNoise, SceneSpec, generate_scene, mock_detector, scene_intrinsics
 
 EXIT_OK = 0
@@ -223,10 +223,8 @@ def cmd_rescale(args) -> int:
 
 def _pooled_nms(large: LabelSet, small: LabelSet, iou_thrd: float) -> LabelSet:
     """The NMS baseline over both scales' proposals, renumbered in pool order."""
-    insts = []
-    for inst in list(large.instances) + list(small.instances):
-        insts.append(InstanceLabel(mask=inst.mask, box=inst.box, score=inst.score,
-                                   instance_id=len(insts), attributes=inst.attributes))
+    insts = [dataclasses.replace(inst, instance_id=n)
+             for n, inst in enumerate(list(large.instances) + list(small.instances))]
     return nms(LabelSet(large.frame_id, large.height, large.width, insts), iou_thrd)
 
 
@@ -262,7 +260,8 @@ def cmd_aggregate(args) -> int:
 
 def _filter_frame(fid, labels_in, out, keep, gt_in):
     labels = read_labels(labels_in / f"{fid}.json")
-    kept = keep(labels) if gt_in is None else keep(labels, _frame_labels(gt_in, fid))
+    kept = keep(labels) if gt_in is None else keep(
+        labels, read_labels(_need_file(gt_in / f"{fid}.json", "ground-truth labels")))
     write_labels(out / f"{fid}.json", kept)
     return len(labels.instances), len(kept.instances)
 
@@ -362,7 +361,7 @@ def cmd_pipeline(args) -> int:
     results = run_pipeline(l0, stages, Path(args.exchange), detector=detector)
     out = Path(args.out)
     parts = []
-    for stage in ("l0", "moving2mobile", "large2small", "final"):
+    for stage in ("l0", *STAGES):
         stage_dir = out / stage
         stage_dir.mkdir(parents=True, exist_ok=True)
         for ls in results[stage]:

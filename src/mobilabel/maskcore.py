@@ -142,18 +142,17 @@ class PreparedMask:
         if not self.area:
             self.bits, self.row, self.col = np.zeros((0, 0), dtype=bool), 0, 0
             return
-        # split every run at column boundaries into single-column segments
+        # a run crossing a column edge covers the last row of one column and the
+        # first of the next, so the box takes every row; other runs lie in one column
         first, last = start // h, (end - 1) // h
-        n = last - first + 1
-        run = np.repeat(np.arange(n.size), n)
-        col = first[run] + np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-        top = np.maximum(start[run] - col * h, 0)
-        bottom = np.minimum(end[run] - col * h, h)
-        self.row, self.col = int(top.min()), int(col[0])
-        rows, cols = int(bottom.max()) - self.row, int(col[-1]) - self.col + 1
-        # re-encode the segments as runs over the box, column-major
-        offset = (col - self.col) * rows - self.row
-        bounds = np.concatenate(([0], np.column_stack((offset + top, offset + bottom)).ravel(),
+        if (first != last).any():
+            self.row, rows = 0, h
+        else:
+            self.row = int((start % h).min())
+            rows = int(((end - 1) % h).max()) + 1 - self.row
+        self.col, cols = int(first[0]), int(last[-1] - first[0]) + 1
+        offset = (first - self.col) * rows + start % h - self.row
+        bounds = np.concatenate(([0], np.column_stack((offset, offset + end - start)).ravel(),
                                  [rows * cols]))
         values = np.arange(bounds.size - 1) % 2 == 1
         self.bits = np.repeat(values, np.diff(bounds)).reshape((cols, rows)).T

@@ -233,12 +233,6 @@ class DetectorExchange:
         if transform is not None:
             write_transform(self.transform_path(labels.frame_id), transform)
 
-    def read_request(self, frame_id: str):
-        labels = read_labels(self.labels_path(frame_id))
-        tpath = self.transform_path(frame_id)
-        transform = read_transform(tpath) if tpath.exists() else None
-        return labels, transform
-
     def write_response(self, predictions: LabelSet) -> None:
         self.ensure_dirs()
         write_labels(self.pred_path(predictions.frame_id), predictions)

@@ -31,6 +31,14 @@ def rle_counts_ref(mask):
     return counts
 
 
+def rle_expand_ref(h, w, counts):
+    """Zeros-first runs laid down pixel by pixel over the column-major scan."""
+    scan = []
+    for i, c in enumerate(counts):
+        scan.extend([i % 2 == 1] * c)
+    return np.array(scan, dtype=bool).reshape(w, h).T
+
+
 def iou_ref(a, b):
     inter = 0
     union = 0

@@ -216,6 +216,38 @@ def test_mask_agg_matches_literal_interpreter_on_random_sets():
         assert content(got) == agg_content(want), f"trial {trial}"
 
 
+def test_mask_agg_renumbering_keeps_every_other_field():
+    def tagged(entries, large):
+        return LabelSet("f", H, W, [
+            InstanceLabel.from_mask(m, score, i, {"large": large, "moving": i % 2 == 0})
+            for i, (m, score) in enumerate(entries)])
+
+    rng = np.random.default_rng(2718)
+    # random sets with distinct scores, then untouched masks of both sets
+    # tied in score, which canonical order breaks by input id, large first
+    cases = []
+    for _ in range(40):
+        scores = set()
+        cases.append((random_proposals(rng, int(rng.integers(0, 7)), 8, 26, scores),
+                      random_proposals(rng, int(rng.integers(0, 9)), 3, 12, scores)))
+    cases.append(([(rect(0, 0, 9, 9), 0.5), (rect(0, 20, 9, 9), 0.5)],
+                  [(rect(30, 0, 4, 4), 0.5), (rect(30, 20, 4, 4), 0.5)]))
+    for ml_entries, ms_entries in cases:
+        ml, ms = tagged(ml_entries, True), tagged(ms_entries, False)
+        out = mask_agg(ml, ms, DEFAULTS)
+        pool = {(i.mask, i.score, i.attributes["large"]): i for i in ml.instances + ms.instances}
+        chosen = [pool[(i.mask, i.score, i.attributes["large"])] for i in out.instances]
+        assert [i.instance_id for i in out.instances] == list(range(len(chosen)))
+        assert [(i.mask, i.box, i.score, i.attributes) for i in out.instances] == \
+            [(i.mask, i.box, i.score, i.attributes) for i in chosen]
+        assert chosen == sorted(chosen, key=lambda i: (-i.score, i.instance_id,
+                                                       not i.attributes["large"]))
+    # the last, tied case: every mask is untouched and kept
+    assert [(i.instance_id, i.attributes) for i in out.instances] == [
+        (0, {"large": True, "moving": True}), (1, {"large": False, "moving": True}),
+        (2, {"large": True, "moving": False}), (3, {"large": False, "moving": False})]
+
+
 # -- nms ---------------------------------------------------------------------
 
 def test_nms_identical_masks():

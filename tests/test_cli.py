@@ -270,6 +270,21 @@ def test_aggregate_and_nms(dataset, tmp_path, capsys):
     assert "nms 0.5" in capsys.readouterr().out
 
 
+def test_aggregate_nms_keeps_attributes(dataset, tmp_path):
+    out = tmp_path / "nms"
+    assert run("aggregate", "--large", dataset / "labels", "--small", dataset / "labels",
+               "--out", out, "--nms", "--nms-iou", 0.5) == 0
+    kept = 0
+    for p in sorted(out.glob("*.json")):
+        pool = {(i.mask, i.box, i.score): i.attributes
+                for i in read_labels(dataset / "labels" / p.name).instances}
+        for inst in read_labels(p).instances:
+            assert inst.attributes is not None
+            assert inst.attributes == pool[(inst.mask, inst.box, inst.score)]
+            kept += 1
+    assert kept
+
+
 def test_aggregate_missing_small_frame_is_exit_3(dataset, tmp_path):
     small = tmp_path / "small"
     small.mkdir()
@@ -309,6 +324,17 @@ def test_filter_conf_and_gt_overlap(dataset, tmp_path, capsys):
     # GT scores are 1.0, so conf 0.5 keeps everything
     for p in sorted(out.glob("*.json")):
         assert read_labels(p) == read_labels(dataset / "labels" / p.name)
+
+
+def test_filter_gt_overlap_names_missing_ground_truth(dataset, tmp_path, capsys):
+    gt = tmp_path / "gt"
+    gt.mkdir()
+    shutil.copy(dataset / "labels" / "000000.json", gt)
+    want = (3, f"error: ground-truth labels not found: {gt / '000001.json'}\n")
+    for workers in (1, 2):
+        code = run("filter", "--labels", dataset / "labels", "--gt-overlap", "--gt", gt,
+                   "--out", tmp_path / f"o{workers}", "--workers", workers)
+        assert (code, capsys.readouterr().err) == want
 
 
 def test_filter_needs_exactly_one_mode(dataset, tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from mobilabel.errors import DimensionMismatch, EmptyMask, EmptyTarget, SumMismatch
 from mobilabel.initlabel import DbscanParams, dbscan_partition
+from mobilabel.io import read_labels
 from mobilabel.maskcore import (
     BBox,
     PreparedMask,
@@ -20,7 +23,7 @@ from mobilabel.maskcore import (
     rle_encode,
 )
 
-from oracles import components_ref, coverage_ref, iou_ref, rle_counts_ref
+from oracles import components_ref, coverage_ref, iou_ref, rle_counts_ref, rle_expand_ref
 
 masks = arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12)))
 
@@ -253,6 +256,66 @@ def test_encoder_edge_placements():
     assert PreparedMask.from_bits(hang, -1, 6, (5, 8)).rle().counts == (35, 1, 4)
     with pytest.raises(ValueError):
         PreparedMask.from_bits(np.ones((2, 2)), 4, 0, (5, 8))
+
+
+# -- prepared masks: decoding any counts a file may carry ----------------
+
+# (height, width, counts): the encoder never writes zero-length interior runs
+# or a trailing 0, and these runs cross several column edges or end on the
+# last row or column
+LOOSE_COUNTS = [
+    (5, 1, [0, 3, 0, 2]), (1, 5, [0, 3, 0, 2]), (2, 3, [1, 5, 0]), (3, 4, [12]),
+    (3, 4, [0, 12, 0]), (3, 4, [2, 7, 3]), (3, 4, [1, 10, 1]), (2, 5, [1, 0, 0, 8, 1]),
+    (3, 4, [11, 1]), (4, 3, [3, 1, 3, 1, 0, 0, 3, 1]), (4, 3, [8, 4]), (3, 4, [0, 1, 10, 1]),
+]
+
+
+def _check_decodes(h, w, counts):
+    """Decode against the run expansion; returns the expected frame."""
+    want = rle_expand_ref(h, w, counts)
+    rle = Rle(h, w, counts)
+    p = PreparedMask(rle)
+    assert np.array_equal(rle_decode(rle), want)
+    assert np.array_equal(p.frame(), want)
+    assert p.area == int(want.sum())
+    if p.area:
+        rows, cols = np.nonzero(want)
+        assert (p.row, p.col) == (rows.min(), cols.min())
+        assert p.bits.shape == (rows.max() - p.row + 1, cols.max() - p.col + 1)
+    else:
+        assert p.bits.shape == (0, 0)
+    assert list(p.rle().counts) == rle_counts_ref(want)
+    return want
+
+
+def _loose_counts(hw):
+    """Zeros-first counts summing to h * w, with zero-length runs anywhere."""
+    h, w = hw
+    return st.lists(st.integers(0, h * w), max_size=9).map(
+        lambda cuts: (h, w, np.diff([0, *sorted(cuts), h * w]).tolist()))
+
+
+@pytest.mark.parametrize("case", LOOSE_COUNTS)
+def test_decoder_matches_run_expansion_on_loose_counts(case, tmp_path):
+    h, w, counts = case
+    want = _check_decodes(h, w, counts)
+    box = [0.0, 0.0, 0.0, 0.0]
+    if want.any():
+        rows, cols = np.nonzero(want)
+        box = [float(cols.min()), float(rows.min()),
+               float(cols.max() - cols.min() + 1), float(rows.max() - rows.min() + 1)]
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"frame_id": "f", "height": h, "width": w, "instances": [
+        {"id": 0, "score": 0.5, "box": box, "rle": {"size": [h, w], "counts": counts}}]}))
+    inst, = read_labels(path, box_tol=0.0 if want.any() else None).instances
+    assert list(inst.mask.counts) == counts
+    assert np.array_equal(rle_decode(inst.mask), want)
+
+
+@given(small_frames.flatmap(_loose_counts))
+@settings(max_examples=300)
+def test_decoder_matches_run_expansion_on_random_counts(case):
+    _check_decodes(*case)
 
 
 # -- components --------------------------------------------------------

@@ -13,6 +13,7 @@ from mobilabel.errors import (
     StageOrderViolation,
 )
 from mobilabel.initlabel import InstanceLabel, LabelSet
+from mobilabel.io import read_labels, read_transform
 from mobilabel.maskcore import PreparedMask, iou
 from mobilabel.rescale import make_transform, transform_labels
 from mobilabel.rounds import (
@@ -142,7 +143,8 @@ def test_exchange_request_response_round_trip(tmp_path):
     ls = lset("000003", rect(0, 0, 5, 5, 0.7, 0))
     t = make_transform(H, W, 0.25)
     ex.write_request(ls, t)
-    got, got_t = ex.read_request("000003")
+    got = read_labels(ex.labels_path("000003"))
+    got_t = read_transform(ex.transform_path("000003"))
     assert got == ls and got_t == t
     ex.write_response(ls)
     assert ex.read_response("000003") == ls
