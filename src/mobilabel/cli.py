@@ -15,8 +15,11 @@ is read from the code that owns it.  The flags of a config object
 (SceneSpec, DbscanParams, AggParams, DetectorNoise, EvalConfig) store
 under its field names and default to a default instance's values, and
 each command builds the object from them by name.  argparse enforces
-required flags, --workers >= 1, synth --frames >= 1 and the ranges of
---conf, --min-iou, --nms-iou and --scale before any frame is read.
+required flags, --workers >= 1, synth --frames >= 1, init-labels
+--min-area >= 0 and the ranges of --conf, --min-iou, --nms-iou,
+--motion-threshold and --scale before any frame is read.  A label file
+must be named after its frame id, since output files are named after
+frame ids; any other is refused with exit code 2.
 --seed exists only where random numbers are drawn (synth, pipeline) and
 -v only where per-frame progress is printed (synth, init-labels).  A
 --config file (flat JSON object keyed by flag names) is parsed as flags
@@ -39,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import AggParams, mask_agg, nms
-from .errors import MissingPredictions, MobilabelError
+from .errors import FrameMismatch, MissingPredictions, MobilabelError
 from .initlabel import DbscanParams, LabelSet, make_initial_labels
 from .io import (
     DatasetLayout,
@@ -105,10 +108,15 @@ def _label_ids(dirpath: Path) -> list[str]:
 
 
 def _frame_labels(dirpath: Path, fid: str) -> LabelSet:
+    """dirpath/<fid>.json, refused unless its frame_id is fid: output file
+    names come from frame ids, so an id cannot lead outside a directory."""
     path = dirpath / f"{fid}.json"
     if not path.exists():
         raise MissingPredictions(fid)
-    return read_labels(path)
+    labels = read_labels(path)
+    if labels.frame_id != fid:
+        raise FrameMismatch(f"{path} holds frame {labels.frame_id!r}, not {fid!r}")
+    return labels
 
 
 def _say(args, line: str) -> None:
@@ -171,7 +179,7 @@ def cmd_init_labels(args) -> int:
 # -- rescale ----------------------------------------------------------------------
 
 def _shrink_frame(fid, labels_in, out, scale, depth_in, motion_in):
-    labels = read_labels(labels_in / f"{fid}.json")
+    labels = _frame_labels(labels_in, fid)
     t = make_transform(labels.height, labels.width, scale)
     write_transform(out / "transforms" / f"{fid}.json", t)
     shrunk = transform_labels(labels, t)
@@ -186,7 +194,7 @@ def _shrink_frame(fid, labels_in, out, scale, depth_in, motion_in):
 
 
 def _invert_frame(fid, labels_in, out, transforms_in):
-    labels = read_labels(labels_in / f"{fid}.json")
+    labels = _frame_labels(labels_in, fid)
     mapped = invert_labels(labels, read_transform(transforms_in / f"{fid}.json"))
     write_labels(out / "labels" / f"{fid}.json", mapped)
     return len(mapped.instances)
@@ -259,9 +267,12 @@ def cmd_aggregate(args) -> int:
 # -- filter -----------------------------------------------------------------------
 
 def _filter_frame(fid, labels_in, out, keep, gt_in):
-    labels = read_labels(labels_in / f"{fid}.json")
-    kept = keep(labels) if gt_in is None else keep(
-        labels, read_labels(_need_file(gt_in / f"{fid}.json", "ground-truth labels")))
+    labels = _frame_labels(labels_in, fid)
+    if gt_in is None:
+        kept = keep(labels)
+    else:
+        _need_file(gt_in / f"{fid}.json", "ground-truth labels")
+        kept = keep(labels, _frame_labels(gt_in, fid))
     write_labels(out / f"{fid}.json", kept)
     return len(labels.instances), len(kept.instances)
 
@@ -295,11 +306,9 @@ def cmd_eval(args) -> int:
     pred_in = _need_dir(args.pred, "predictions")
     gt_in = _need_dir(args.gt, "ground-truth labels")
     gt_ids = _label_ids(gt_in)
-    preds, gts = [], []
-    for fid in gt_ids:
-        preds.append(_frame_labels(pred_in, fid))
-        gts.append(read_labels(gt_in / f"{fid}.json"))
-    report = evaluate(preds, gts, _from_flags(EvalConfig, args), with_attributes=args.attributes)
+    report = evaluate((_frame_labels(pred_in, fid) for fid in gt_ids),
+                      (_frame_labels(gt_in, fid) for fid in gt_ids),
+                      _from_flags(EvalConfig, args), with_attributes=args.attributes)
     if args.json:
         report_path = Path(args.json)
         report_path.parent.mkdir(parents=True, exist_ok=True)
@@ -325,7 +334,7 @@ def _frame_rng(seed: int, frame_id: str, tag: int) -> np.random.Generator:
 
 
 def _make_mock(gt_dir: Path, noise: DetectorNoise, seed: int):
-    table = {p.stem: read_labels(p) for p in sorted(gt_dir.glob("*.json"))}
+    table = {fid: _frame_labels(gt_dir, fid) for fid in _label_ids(gt_dir)}
 
     def detector(ls: LabelSet, transform):
         if ls.frame_id not in table:
@@ -357,7 +366,7 @@ def cmd_pipeline(args) -> int:
                     scale=tuple(args.l2s_scales), agg=agg, epochs=args.l2s_epochs),
         RoundConfig(stage="final", scale=tuple(args.jitter), epochs=args.final_epochs),
     )
-    l0 = [read_labels(p) for p in sorted(l0_in.glob("*.json"))]
+    l0 = [_frame_labels(l0_in, fid) for fid in _label_ids(l0_in)]
     results = run_pipeline(l0, stages, Path(args.exchange), detector=detector)
     out = Path(args.out)
     parts = []
@@ -387,6 +396,7 @@ def _checked(cast, ok, what: str):
 _COUNT = _checked(int, lambda v: v >= 1, "must be at least 1")
 _UNIT = _checked(float, lambda v: 0 <= v <= 1, "must lie in [0, 1]")
 _SCALE = _checked(float, lambda v: 0 < v <= 1, "must lie in (0, 1]")
+_AREA = _checked(int, lambda v: v >= 0, "must be at least 0")
 
 
 def _add_common(sp) -> None:
@@ -457,14 +467,14 @@ def build_parser():
                          help="initial labels from depth + motion clustering")
     sp.add_argument("--data", required=True, help="(required) dataset directory")
     sp.add_argument("--out", required=True, help="(required) output labels directory")
-    sp.add_argument("--motion-threshold", type=float,
+    sp.add_argument("--motion-threshold", type=_UNIT,
                     default=init["motion_threshold"].default,
                     help="motion probability cut, inclusive")
     sp.add_argument("--eps", type=float, help="clustering radius, meters")
     sp.add_argument("--min-pts", type=int, help="neighbors (incl. self) for a core point")
     sp.add_argument("--pixel-window", type=int,
                     help="neighbors lie within PIXEL_WINDOW // 2 rows and columns")
-    sp.add_argument("--min-area", type=int, default=init["min_area"].default,
+    sp.add_argument("--min-area", type=_AREA, default=init["min_area"].default,
                     help="drop clusters below this pixel area")
     _add_common(sp)
     _add_verbose(sp)
@@ -474,7 +484,7 @@ def build_parser():
                          help="shrink labels/rasters, or map labels back up")
     sp.add_argument("--labels", required=True, help="(required) input labels directory")
     sp.add_argument("--out", required=True, help="(required) output directory")
-    sp.add_argument("--scale", type=_SCALE, default=0.25, help="shrink factor")
+    sp.add_argument("--scale", type=_SCALE, default=l2s.scale[1], help="shrink factor")
     sp.add_argument("--invert", action="store_true",
                     help="map labels back through recorded transforms")
     sp.add_argument("--transforms", default=None,

@@ -59,7 +59,12 @@ class StageOrderViolation(MobilabelError):
 
 
 class FrameMismatch(MobilabelError):
-    """Prediction and ground-truth frame lists do not line up."""
+    """Frame ids do not line up: prediction against ground truth, a label
+    file against its name, or a repeat within one frame list."""
+
+
+class UnsafeFrameId(MobilabelError):
+    """A frame id holds a path separator, so it cannot name a file."""
 
 
 class MissingAttribute(MobilabelError):

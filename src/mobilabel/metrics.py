@@ -5,9 +5,10 @@ Matching is greedy per frame: predictions in descending score order each
 take the unmatched ground-truth instance of highest IoU at or above the
 threshold. One matching per (frame, threshold) feeds every reported
 number, so size-bucket recalls weighted by their ground-truth counts
-reproduce the overall recall exactly. The pooled predictions are ranked
-once; per threshold, one hit vector over that ranking gives every AP
-and one found vector over the pooled ground truth gives every recall
+reproduce the overall recall exactly. Each frame is matched as it is
+drawn and folded into per-instance scalars. The pooled predictions are
+ranked once; per threshold, one hit vector over that ranking gives every
+AP and one found vector over the pooled ground truth gives every recall
 (overall, per size bucket, static/moving).
 
 Conventions, chosen once and used everywhere:
@@ -23,7 +24,9 @@ Conventions, chosen once and used everywhere:
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -106,41 +109,39 @@ def _iou_matrix(preds, gts, mode: str) -> np.ndarray:
     return out
 
 
-def _greedy(iou: np.ndarray, gts, thr: float) -> dict[int, int]:
-    """pred row -> gt column under score-order greedy matching.
+def _greedy(iou: np.ndarray, gts, thresholds) -> np.ndarray:
+    """Greedy matching at every threshold at once: a (thresholds, rows)
+    array of the ground-truth column each prediction row takes, or -1.
 
     Rows must already be in descending-score order. Ties in IoU go to the
     ground-truth instance with the lower id.
     """
-    by_id = sorted(range(len(gts)), key=lambda j: gts[j].instance_id)
-    taken = set()
-    out = {}
-    for i in range(iou.shape[0]):
-        best_j, best = -1, -1.0
-        for j in by_id:
-            if j in taken:
-                continue
-            v = iou[i, j]
-            if v >= thr and v > best:
-                best_j, best = j, v
-        if best_j >= 0:
-            out[i] = best_j
-            taken.add(best_j)
+    out = np.full((len(thresholds), len(iou)), -1)
+    if not iou.size:
+        return out
+    by_id = np.argsort([g.instance_id for g in gts], kind="stable")
+    iou = iou[:, by_id]
+    free = iou >= np.array(thresholds)[:, None, None]  # (threshold, row, column); False once taken
+    for i, row in enumerate(iou):
+        cand = np.where(free[:, i], row, -1.0)
+        k = cand.argmax(axis=1)  # the first of equal maxima, so the lowest id
+        hit = cand.max(axis=1) >= 0
+        out[hit, i] = by_id[k[hit]]
+        free[hit, :, k[hit]] = False
     return out
 
 
 def _match_frame(preds: LabelSet, gt: LabelSet, mode: str, thresholds,
-                 max_dets: int | None = None) -> tuple[list, list[dict[int, int]]]:
-    """One frame's top-scoring predictions and, per threshold, their
-    greedy matching (pred index -> gt index)."""
+                 max_dets: int | None = None) -> tuple[list, np.ndarray]:
+    """One frame's top-scoring predictions and a (thresholds, predictions)
+    array of the ground-truth index each one matches, or -1."""
     if (preds.height, preds.width) != (gt.height, gt.width):
         raise DimensionMismatch(
             f"frame {gt.frame_id!r}: predictions are {preds.height}x{preds.width}, "
             f"ground truth {gt.height}x{gt.width}"
         )
     ordered = sorted(preds.instances, key=lambda i: (-i.score, i.instance_id))[:max_dets]
-    iou = _iou_matrix(ordered, gt.instances, mode)
-    return ordered, [_greedy(iou, gt.instances, t) for t in thresholds]
+    return ordered, _greedy(_iou_matrix(ordered, gt.instances, mode), gt.instances, thresholds)
 
 
 def _ap101(hit: np.ndarray, n_gt: int) -> float:
@@ -159,52 +160,52 @@ def _ap101(hit: np.ndarray, n_gt: int) -> float:
     return float(vals.mean())
 
 
-def _check_parallel(preds: list[LabelSet], gt: list[LabelSet]) -> None:
-    if len(preds) != len(gt):
-        raise FrameMismatch(f"{len(preds)} prediction frames vs {len(gt)} ground-truth frames")
-    for p, g in zip(preds, gt):
+def _paired(preds: Iterable[LabelSet], gt: Iterable[LabelSet]) -> Iterator[tuple[LabelSet, LabelSet]]:
+    """(prediction, ground truth) frame pairs, drawn one at a time and
+    refused with FrameMismatch as soon as their ids differ, a ground-truth
+    id repeats, or one side runs out before the other."""
+    seen = set()
+    for n, (p, g) in enumerate(zip_longest(preds, gt)):
+        if p is None or g is None:
+            side = "prediction" if p is None else "ground-truth"
+            raise FrameMismatch(f"only {n} {side} frames, but more on the other side")
         if p.frame_id != g.frame_id:
             raise FrameMismatch(f"frame id {p.frame_id!r} paired against {g.frame_id!r}")
-    ids = [g.frame_id for g in gt]
-    if len(set(ids)) != len(ids):
-        raise FrameMismatch("duplicate frame ids in the ground-truth list")
+        if g.frame_id in seen:
+            raise FrameMismatch(f"duplicate frame id {g.frame_id!r} in the ground truth")
+        seen.add(g.frame_id)
+        yield p, g
 
 
-def evaluate(preds: list[LabelSet], gt: list[LabelSet], cfg: EvalConfig = EvalConfig(),
+def evaluate(preds: Iterable[LabelSet], gt: Iterable[LabelSet], cfg: EvalConfig = EvalConfig(),
              with_attributes: bool = False) -> EvalReport:
-    """Full evaluation of parallel prediction/ground-truth frame lists."""
-    _check_parallel(preds, gt)
-    thresholds = cfg.iou_thresholds
-    frames = [(g, *_match_frame(p, g, cfg.mode, thresholds, cfg.max_dets)) for p, g in zip(preds, gt)]
-    frames.sort(key=lambda f: f[0].frame_id)
+    """Full evaluation of parallel prediction/ground-truth frames, drawn one
+    pair at a time from any iterables (generators that read files, say)."""
+    # key and bucket per prediction, bucket and moving flag per ground truth,
+    # and per frame the pooled ground-truth index each prediction matches or -1
+    keys, pred_bucket, gt_bucket, moving = [], [], [], []
+    gt_of = [np.empty((len(cfg.iou_thresholds), 0), dtype=int)]
+    for p, g in _paired(preds, gt):
+        if with_attributes:
+            for inst in g.instances:
+                if inst.attributes is None or "moving" not in inst.attributes:
+                    raise MissingAttribute(f"frame {g.frame_id!r} instance {inst.instance_id} lacks the moving flag")
+                moving.append(bool(inst.attributes["moving"]))
+        ordered, matched = _match_frame(p, g, cfg.mode, cfg.iou_thresholds, cfg.max_dets)
+        gt_of.append(np.where(matched >= 0, matched + len(gt_bucket), -1))
+        keys += [(-q.score, g.frame_id, q.instance_id) for q in ordered]
+        pred_bucket += [size_bucket(q.area, cfg.size_buckets) for q in ordered]
+        gt_bucket += [size_bucket(inst.area, cfg.size_buckets) for inst in g.instances]
 
-    # Pool every frame: once ranked, gt_of[t, k] is the pooled gt index that
-    # the prediction of rank k matches at threshold t, or -1.
-    gts = [(g.frame_id, inst) for g, _, _ in frames for inst in g.instances]
-    keys = []
-    gt_of = np.full((len(thresholds), sum(len(o) for _, o, _ in frames)), -1)
-    gt_off = 0
-    for g, ordered, matches in frames:
-        for t, m in enumerate(matches):
-            for i, j in m.items():
-                gt_of[t, len(keys) + i] = gt_off + j
-        keys += [(-p.score, g.frame_id, p.instance_id) for p in ordered]
-        gt_off += len(g.instances)
+    # (score, frame id, instance id) is a total order: frame order cannot matter
     rank = sorted(range(len(keys)), key=keys.__getitem__)
-    gt_of = gt_of[:, rank]
-
-    def buckets(instances):
-        return np.array([size_bucket(i.area, cfg.size_buckets) for i in instances], dtype=str)
-
-    pred_bucket = buckets(p for _, ordered, _ in frames for p in ordered)[rank]
-    gt_bucket = buckets(inst for _, inst in gts)
-    groups = {"all": np.ones(len(gts), dtype=bool)}
+    gt_of = np.concatenate(gt_of, axis=1)[:, rank]
+    pred_bucket = np.array(pred_bucket, dtype=str)[rank]
+    gt_bucket = np.array(gt_bucket, dtype=str)
+    groups = {"all": np.ones(len(gt_bucket), dtype=bool)}
     groups.update((b, gt_bucket == b) for b in SIZE_NAMES)
     if with_attributes:
-        for fid, g in gts:
-            if g.attributes is None or "moving" not in g.attributes:
-                raise MissingAttribute(f"frame {fid!r} instance {g.instance_id} lacks the moving flag")
-        moving = np.array([bool(g.attributes["moving"]) for _, g in gts], dtype=bool)
+        moving = np.array(moving, dtype=bool)
         groups.update(static=~moving, moving=moving)
     counts = {k: int(mask.sum()) for k, mask in groups.items()}
 
@@ -212,7 +213,7 @@ def evaluate(preds: list[LabelSet], gt: list[LabelSet], cfg: EvalConfig = EvalCo
     ap_t, ap_size_t = [], {b: [] for b in SIZE_NAMES}
     for row in gt_of:
         hit = row >= 0
-        found = np.zeros(len(gts), dtype=bool)
+        found = np.zeros(len(gt_bucket), dtype=bool)
         found[row[hit]] = True
         for k, mask in groups.items():
             recall[k].append(int(found[mask].sum()) / counts[k] if counts[k] else 0.0)
@@ -230,7 +231,7 @@ def evaluate(preds: list[LabelSet], gt: list[LabelSet], cfg: EvalConfig = EvalCo
         ap_per_threshold=tuple(ap_t),
         ar_by_size={b: float(np.mean(recall[b])) for b in SIZE_NAMES},
         ap_by_size={b: float(np.mean(ap_size_t[b])) for b in SIZE_NAMES},
-        n_gt=len(gts),
+        n_gt=len(gt_bucket),
         n_pred=len(keys),
         gt_by_size={b: counts[b] for b in SIZE_NAMES},
     )

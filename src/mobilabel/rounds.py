@@ -30,6 +30,7 @@ Exchange layout (one directory per detector run):
 """
 
 import inspect
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from .errors import (
     MissingPredictions,
     SchemaViolation,
     StageOrderViolation,
+    UnsafeFrameId,
 )
 from .initlabel import LabelSet, make_initial_labels
 from .io import _dump_json, _load_json, _want, atomic_write_bytes, read_labels, read_transform, write_labels, write_transform
@@ -192,6 +194,13 @@ def gt_overlap_filter(predictions: LabelSet, gt: LabelSet,
     return LabelSet(predictions.frame_id, predictions.height, predictions.width, kept)
 
 
+def _file_name(frame_id: str, suffix: str) -> str:
+    """frame_id + suffix, refused if the id would reach out of its directory."""
+    if "/" in frame_id or os.sep in frame_id:
+        raise UnsafeFrameId(f"frame id {frame_id!r} holds a path separator")
+    return frame_id + suffix
+
+
 @dataclass(frozen=True)
 class DetectorExchange:
     """File contract with the external detector, one directory per run."""
@@ -214,13 +223,13 @@ class DetectorExchange:
         self.response_dir.mkdir(parents=True, exist_ok=True)
 
     def labels_path(self, frame_id: str) -> Path:
-        return self.request_dir / f"{frame_id}.labels.json"
+        return self.request_dir / _file_name(frame_id, ".labels.json")
 
     def transform_path(self, frame_id: str) -> Path:
-        return self.request_dir / f"{frame_id}.transform.json"
+        return self.request_dir / _file_name(frame_id, ".transform.json")
 
     def pred_path(self, frame_id: str) -> Path:
-        return self.response_dir / f"{frame_id}.pred.json"
+        return self.response_dir / _file_name(frame_id, ".pred.json")
 
     @property
     def manifest_path(self) -> Path:
@@ -315,7 +324,9 @@ def _detector_runs(cfg: RoundConfig, root: Path) -> list[tuple[DetectorExchange,
 
 
 def run_pipeline(l0: list[LabelSet], stages, exchange_root, detector=None) -> dict:
-    """Drive the stages in order over one set of initial labels.
+    """Drive the stages in order over one set of initial labels, whose
+    frame ids must be unique (FrameMismatch) and name files
+    (UnsafeFrameId).
 
     `stages` must follow the moving2mobile, large2small, final order
     (prefixes allowed).  Every stage writes its manifest and requests
@@ -333,6 +344,8 @@ def run_pipeline(l0: list[LabelSet], stages, exchange_root, detector=None) -> di
 
     root = Path(exchange_root)
     frame_ids = [ls.frame_id for ls in l0]
+    if len(set(frame_ids)) != len(frame_ids):
+        raise FrameMismatch("duplicate frame ids in the initial labels")
     current = list(l0)
     results: dict = {"l0": current}
     for cfg in stages:

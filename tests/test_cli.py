@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import os
@@ -14,7 +15,7 @@ import mobilabel.io
 from mobilabel.aggregate import AggParams
 from mobilabel.cli import _from_flags, _with_config, build_parser, main
 from mobilabel.initlabel import DbscanParams, make_initial_labels
-from mobilabel.io import read_labels, write_motion
+from mobilabel.io import read_labels, write_labels, write_motion
 from mobilabel.maskcore import PreparedMask, iou
 from mobilabel.metrics import EvalConfig
 from mobilabel.rounds import default_config_snapshot, default_stages, gt_overlap_filter
@@ -81,6 +82,7 @@ def test_flag_defaults_come_from_the_library():
         return parser.parse_args([cmd, *map(str, required(cmd, "d"))])
 
     assert _from_flags(SceneSpec, parse("synth")) == SceneSpec()
+    assert parse("rescale").scale == l2s.scale[1] == snap["l2s_scales"][1]
 
     a = parse("init-labels")
     assert a.motion_threshold == signature_default(make_initial_labels, "motion_threshold") \
@@ -135,6 +137,9 @@ def test_internal_validation_is_usage_error(tmp_path, capsys):
     ["aggregate", "--large", "EMPTY", "--small", "EMPTY", "--nms", "--nms-iou", -1],
     ["synth", "--frames", 0],
     ["synth", "--frames", -3],
+    ["init-labels", "--data", "EMPTY", "--motion-threshold", 2],
+    ["init-labels", "--data", "EMPTY", "--motion-threshold", -0.1],
+    ["init-labels", "--data", "EMPTY", "--min-area", -5],
 ])
 def test_out_of_range_value_is_usage_error_without_frames(tmp_path, capsys, argv):
     empty = tmp_path / "empty"
@@ -142,7 +147,7 @@ def test_out_of_range_value_is_usage_error_without_frames(tmp_path, capsys, argv
     argv = [empty if a == "EMPTY" else a for a in argv]
     assert run(*argv, "--out", tmp_path / "o") == 2
     err = capsys.readouterr().err
-    assert "must lie in" in err or "must be at least 1" in err
+    assert "must lie in" in err or "must be at least" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -344,6 +349,27 @@ def test_filter_needs_exactly_one_mode(dataset, tmp_path):
                "--conf", 0.5, "--gt-overlap") == 2
 
 
+def _misnamed(labels_dir, tmp_path, fid, frame_id):
+    """A copy of labels_dir whose fid file holds frame frame_id."""
+    out = tmp_path / "misnamed"
+    shutil.copytree(labels_dir, out)
+    ls = read_labels(out / f"{fid}.json")
+    write_labels(out / f"{fid}.json", dataclasses.replace(ls, frame_id=frame_id))
+    return out
+
+
+@pytest.mark.parametrize("cmd", ["rescale", "aggregate", "filter", "eval"])
+def test_label_file_holding_another_frame_is_usage_error(dataset, tmp_path, capsys, cmd):
+    bad = _misnamed(dataset / "labels", tmp_path, "000001", "000002")
+    good, out = dataset / "labels", tmp_path / "o"
+    argv = {"rescale": ["--labels", bad, "--out", out],
+            "aggregate": ["--large", good, "--small", bad, "--out", out],
+            "filter": ["--labels", good, "--gt-overlap", "--gt", bad, "--out", out],
+            "eval": ["--pred", good, "--gt", bad]}[cmd]
+    assert run(cmd, *argv) == 2
+    assert "holds frame '000002', not '000001'" in capsys.readouterr().err
+
+
 # -- eval -----------------------------------------------------------------------
 
 def test_eval_identity_is_perfect(dataset, capsys):
@@ -414,6 +440,18 @@ def test_mock_detector_streams_differ_per_branch(dataset, tmp_path):
     large = tree_bytes(ex / "large2small.large" / "response")
     assert sorted(m2m) == sorted(large) and len(m2m) == 3
     assert all(m2m[name] != large[name] for name in m2m)
+
+
+@pytest.mark.parametrize("frame_id", ["../../../pwned", "000000"])
+def test_pipeline_writes_nothing_for_a_label_file_holding_another_frame(dataset, tmp_path, frame_id):
+    # the exchange and stage files are named after frame ids: a traversing
+    # id would write above the exchange, a repeated one would lose a frame
+    l0 = _misnamed(_l0(dataset, tmp_path), tmp_path, "000001", frame_id)
+    ex = tmp_path / "exchange"
+    before = set(tmp_path.rglob("*"))
+    assert run("pipeline", "--l0", l0, "--exchange", ex, "--out", ex / "out",
+               "--mock-gt", dataset / "labels") == 2
+    assert not set(tmp_path.rglob("*")) - before
 
 
 def test_pipeline_external_mode_needs_responses(dataset, tmp_path):

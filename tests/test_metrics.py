@@ -35,8 +35,8 @@ AT50 = EvalConfig(iou_thresholds=(0.5,))
 
 def match_ids(preds, gt, iou_thrd, mode="mask"):
     """One frame's greedy matching at one threshold: prediction id -> ground-truth id."""
-    ordered, (raw,) = _match_frame(preds, gt, mode, (iou_thrd,))
-    return {ordered[i].instance_id: gt.instances[j].instance_id for i, j in raw.items()}
+    ordered, (gt_col,) = _match_frame(preds, gt, mode, (iou_thrd,))
+    return {p.instance_id: gt.instances[j].instance_id for p, j in zip(ordered, gt_col) if j >= 0}
 
 
 # -- size buckets ------------------------------------------------------------
@@ -82,6 +82,13 @@ def test_match_two_preds_one_gt():
     gt = labels("f", (g, 1.0, None))
     preds = labels("f", (g, 0.6, None), (g, 0.9, None))
     assert match_ids(preds, gt, 0.5) == {1: 0}  # higher score wins the only GT
+
+
+def test_match_iou_tie_goes_to_lower_gt_id():
+    g = rect(0, 0, 10, 10)
+    gt = LabelSet("f", H, W, [InstanceLabel.from_mask(g, 1.0, i) for i in (7, 2, 5)])
+    preds = labels("f", (g, 0.9, None), (g, 0.8, None))
+    assert match_ids(preds, gt, 0.5) == {0: 2, 1: 5}
 
 
 def test_match_dimension_mismatch():
@@ -130,6 +137,27 @@ def test_frame_mismatch():
         evaluate([], gt)
     with pytest.raises(FrameMismatch):
         evaluate([LabelSet("b", H, W, [])], gt)
+    with pytest.raises(FrameMismatch):
+        evaluate(gt, [])
+    with pytest.raises(FrameMismatch):
+        evaluate(gt + [LabelSet("b", H, W, [])], gt)
+
+
+def untouchable(frames):
+    """frames, then a failure if anything draws past them."""
+    yield from frames
+    raise AssertionError("drawn past the faulty frame")
+
+
+def test_streamed_frames_fail_at_the_faulty_frame():
+    a, b = (labels(f, (rect(0, 0, 8, 8), 1.0, {"moving": True})) for f in "ab")
+    with pytest.raises(FrameMismatch, match="duplicate"):
+        evaluate(untouchable([a, b, a]), untouchable([a, b, a]))
+    with pytest.raises(FrameMismatch):
+        evaluate(untouchable([a, b]), untouchable([a, a]))
+    flagless = labels("c", (rect(0, 0, 8, 8), 1.0, None))
+    with pytest.raises(MissingAttribute, match="'c'"):
+        evaluate(untouchable([a, flagless]), untouchable([a, flagless]), with_attributes=True)
 
 
 # -- hand-computed AP fixture -----------------------------------------------------
@@ -238,6 +266,13 @@ def test_frame_order_invariance():
     order = rng.permutation(len(gt))
     b = evaluate([preds[i] for i in order], [gt[i] for i in order])
     assert a == b
+
+
+def test_iterators_score_like_lists():
+    preds, gt = random_dataset(np.random.default_rng(5), 6)
+    cfg = EvalConfig(iou_thresholds=(0.5, 0.75), max_dets=3)
+    assert evaluate(iter(preds), iter(gt), cfg) == evaluate(preds, gt, cfg)
+    assert evaluate(iter(()), iter(())) == evaluate([], [])
 
 
 def test_equal_score_permutation_invariance():

@@ -11,6 +11,7 @@ from mobilabel.errors import (
     MissingPredictions,
     SchemaViolation,
     StageOrderViolation,
+    UnsafeFrameId,
 )
 from mobilabel.initlabel import InstanceLabel, LabelSet
 from mobilabel.io import read_labels, read_transform
@@ -166,6 +167,25 @@ def test_exchange_frame_id_mismatch(tmp_path):
     io.write_labels(ex.pred_path("000002"), ls)
     with pytest.raises(FrameMismatch):
         ex.read_response("000002")
+
+
+@pytest.mark.parametrize("frame_id", ["../../up", "a/b", "/abs"])
+def test_exchange_refuses_a_frame_id_with_a_path_separator(tmp_path, frame_id):
+    ex = DetectorExchange(tmp_path / "x")
+    for path_of in (ex.labels_path, ex.transform_path, ex.pred_path):
+        with pytest.raises(UnsafeFrameId):
+            path_of(frame_id)
+    with pytest.raises(UnsafeFrameId):
+        ex.write_request(lset(frame_id, rect(0, 0, 5, 5)))
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
+def test_run_pipeline_refuses_duplicate_frame_ids(tmp_path):
+    ls = lset("000000", rect(0, 0, 5, 5))
+    with pytest.raises(FrameMismatch):
+        run_pipeline([ls, ls], default_stages()[:1], tmp_path / "x",
+                     detector=lambda labels, t: labels)
+    assert not (tmp_path / "x").exists()
 
 
 def test_manifest_round_trip(tmp_path):
