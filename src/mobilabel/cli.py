@@ -17,9 +17,11 @@ under its field names and default to a default instance's values, and
 each command builds the object from them by name.  argparse enforces
 required flags, --workers >= 1, synth --frames >= 1, init-labels
 --min-area >= 0 and the ranges of --conf, --min-iou, --nms-iou,
---motion-threshold and --scale before any frame is read.  A label file
+--motion-threshold, --scale and pipeline's --m2m-conf, --l2s-confs,
+--l2s-scales and --jitter before any frame is read.  A label file
 must be named after its frame id, since output files are named after
-frame ids; any other is refused with exit code 2.
+frame ids; any other is refused with exit code 2, as is an eval
+prediction file whose frame has no ground truth.
 --seed exists only where random numbers are drawn (synth, pipeline) and
 -v only where per-frame progress is printed (synth, init-labels).  A
 --config file (flat JSON object keyed by flag names) is parsed as flags
@@ -49,8 +51,8 @@ from .io import (
     _dump_json,
     atomic_write_bytes,
     read_depth,
+    read_frame_labels,
     read_intrinsics,
-    read_labels,
     read_motion,
     read_transform,
     write_depth,
@@ -110,13 +112,7 @@ def _label_ids(dirpath: Path) -> list[str]:
 def _frame_labels(dirpath: Path, fid: str) -> LabelSet:
     """dirpath/<fid>.json, refused unless its frame_id is fid: output file
     names come from frame ids, so an id cannot lead outside a directory."""
-    path = dirpath / f"{fid}.json"
-    if not path.exists():
-        raise MissingPredictions(fid)
-    labels = read_labels(path)
-    if labels.frame_id != fid:
-        raise FrameMismatch(f"{path} holds frame {labels.frame_id!r}, not {fid!r}")
-    return labels
+    return read_frame_labels(dirpath / f"{fid}.json", fid)
 
 
 def _say(args, line: str) -> None:
@@ -306,6 +302,9 @@ def cmd_eval(args) -> int:
     pred_in = _need_dir(args.pred, "predictions")
     gt_in = _need_dir(args.gt, "ground-truth labels")
     gt_ids = _label_ids(gt_in)
+    extra = sorted(set(_label_ids(pred_in)) - set(gt_ids))
+    if extra:
+        raise FrameMismatch(f"predictions for frames without ground truth: {', '.join(extra)}")
     report = evaluate((_frame_labels(pred_in, fid) for fid in gt_ids),
                       (_frame_labels(gt_in, fid) for fid in gt_ids),
                       _from_flags(EvalConfig, args), with_attributes=args.attributes)
@@ -330,7 +329,7 @@ def cmd_eval(args) -> int:
 
 def _frame_rng(seed: int, frame_id: str, tag: int) -> np.random.Generator:
     # per (frame, branch) stream: independent of visit order and workers
-    return np.random.default_rng([seed, zlib.crc32(frame_id.encode("ascii")), tag])
+    return np.random.default_rng([seed, zlib.crc32(frame_id.encode("utf-8")), tag])
 
 
 def _make_mock(gt_dir: Path, noise: DetectorNoise, seed: int):
@@ -353,11 +352,6 @@ def _make_mock(gt_dir: Path, noise: DetectorNoise, seed: int):
 
 
 def cmd_pipeline(args) -> int:
-    l0_in = _need_dir(args.l0, "initial labels")
-    detector = None
-    if args.mock_gt is not None:
-        detector = _make_mock(_need_dir(args.mock_gt, "mock ground truth"),
-                              _from_flags(DetectorNoise, args), args.seed)
     agg = _from_flags(AggParams, args)
     stages = (
         RoundConfig(stage="moving2mobile", conf_threshold=args.m2m_conf,
@@ -366,6 +360,11 @@ def cmd_pipeline(args) -> int:
                     scale=tuple(args.l2s_scales), agg=agg, epochs=args.l2s_epochs),
         RoundConfig(stage="final", scale=tuple(args.jitter), epochs=args.final_epochs),
     )
+    l0_in = _need_dir(args.l0, "initial labels")
+    detector = None
+    if args.mock_gt is not None:
+        detector = _make_mock(_need_dir(args.mock_gt, "mock ground truth"),
+                              _from_flags(DetectorNoise, args), args.seed)
     l0 = [_frame_labels(l0_in, fid) for fid in _label_ids(l0_in)]
     results = run_pipeline(l0, stages, Path(args.exchange), detector=detector)
     out = Path(args.out)
@@ -542,13 +541,13 @@ def build_parser():
     sp.add_argument("--l0", required=True, help="(required) initial labels directory")
     sp.add_argument("--exchange", required=True, help="(required) detector exchange root")
     sp.add_argument("--out", required=True, help="(required) per-stage output directory")
-    sp.add_argument("--m2m-conf", type=float, default=m2m.conf_threshold,
+    sp.add_argument("--m2m-conf", type=_UNIT, default=m2m.conf_threshold,
                     help="first-round confidence cut")
-    sp.add_argument("--l2s-confs", type=float, nargs=2, default=list(l2s.conf_threshold),
+    sp.add_argument("--l2s-confs", type=_UNIT, nargs=2, default=list(l2s.conf_threshold),
                     metavar=("LARGE", "SMALL"), help="two-scale confidence cuts")
-    sp.add_argument("--l2s-scales", type=float, nargs=2, default=list(l2s.scale),
+    sp.add_argument("--l2s-scales", type=_SCALE, nargs=2, default=list(l2s.scale),
                     metavar=("LARGE", "SMALL"), help="two-scale inference factors")
-    sp.add_argument("--jitter", type=float, nargs=2, default=list(m2m.scale),
+    sp.add_argument("--jitter", type=_SCALE, nargs=2, default=list(m2m.scale),
                     metavar=("LO", "HI"), help="training scale jitter range")
     _add_agg_flags(sp)
     sp.add_argument("--m2m-epochs", type=int, default=m2m.epochs,

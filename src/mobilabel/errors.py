@@ -14,10 +14,6 @@ class DimensionMismatch(MobilabelError):
     """Two rasters or label sets that must share dimensions do not."""
 
 
-class SumMismatch(MobilabelError):
-    """RLE counts do not sum to height * width."""
-
-
 class EmptyTarget(MobilabelError):
     """Coverage requested against an empty target mask."""
 
@@ -108,8 +104,4 @@ class SchemaViolation(FormatError):
 
 
 class RleSumMismatch(FormatError):
-    """A label file contains an RLE whose counts do not sum to h*w."""
-
-
-class BoxMaskInconsistency(FormatError):
-    """A label file box is not the tight bounding box of its mask."""
+    """RLE counts hold a negative run or do not sum to height * width."""

@@ -21,15 +21,15 @@ import numpy as np
 from .errors import (
     BadHeader,
     BadMagic,
-    BoxMaskInconsistency,
     FrameMismatch,
+    MissingPredictions,
     NonFiniteValue,
     RleSumMismatch,
     SchemaViolation,
     TruncatedFile,
 )
 from .initlabel import CameraIntrinsics, InstanceLabel, LabelSet
-from .maskcore import BBox, PreparedMask, Rle
+from .maskcore import BBox, Rle
 from .rescale import ScaleTransform
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "read_motion",
     "write_motion",
     "read_labels",
+    "read_frame_labels",
     "write_labels",
     "read_intrinsics",
     "write_intrinsics",
@@ -229,14 +230,10 @@ def write_labels(path, labels: LabelSet) -> None:
     atomic_write_bytes(path, _dump_json(doc))
 
 
-def read_labels(path, box_tol: float | None = None) -> LabelSet:
-    """Parse and validate a label file.
-
-    box_tol enables the box-tightness check: each box coordinate must
-    agree with the tight bounding box of the decoded mask within box_tol
-    pixels. It is off by default because scaled label sets legitimately
-    carry real-valued boxes that are not pixel-tight.
-    """
+def read_labels(path) -> LabelSet:
+    """Parse and validate a label file; a field's fault names its path, and
+    :class:`Rle`'s counts fault is re-raised naming the file and instance.
+    Boxes need not be tight: scaled label sets carry real-valued boxes."""
     doc = _load_json(path)
     frame_id = _want(doc, "frame_id", "str", "$")
     height = _want(doc, "height", "int", "$")
@@ -274,13 +271,15 @@ def read_labels(path, box_tol: float | None = None) -> LabelSet:
         if size != [height, width]:
             raise SchemaViolation(f"{at}.rle.size", f"mask size {size} != frame size {[height, width]}")
         counts = _want(rle_raw, "counts", "list", f"{at}.rle")
-        for j, c in enumerate(counts):
-            if isinstance(c, bool) or not isinstance(c, int) or c < 0:
-                raise SchemaViolation(f"{at}.rle.counts[{j}]", f"expected a non-negative integer, got {c!r}")
-        if sum(counts) != height * width:
-            raise RleSumMismatch(
-                f"{path}: instance {iid} counts sum to {sum(counts)}, expected {height * width}"
-            )
+        if set(map(type, counts)) - {int} or min(counts, default=0) < 0:
+            j, c = next((j, c) for j, c in enumerate(counts)
+                        if isinstance(c, bool) or not isinstance(c, int) or c < 0)
+            raise SchemaViolation(f"{at}.rle.counts[{j}]", f"expected a non-negative integer, got {c!r}")
+        try:
+            rle = Rle(height=height, width=width, counts=counts)
+        except RleSumMismatch:
+            raise RleSumMismatch(f"{path}: instance {iid} counts sum to {sum(counts)}, "
+                                 f"expected {height * width}") from None
         attributes = None
         if "attributes" in entry:
             attrs_raw = _want(entry, "attributes", "dict", at)
@@ -289,22 +288,20 @@ def read_labels(path, box_tol: float | None = None) -> LabelSet:
                 if not isinstance(attrs_raw[k], bool):
                     raise SchemaViolation(f"{at}.attributes.{k}", f"expected a boolean, got {attrs_raw[k]!r}")
                 attributes[k] = attrs_raw[k]
-        rle = Rle(height=height, width=width, counts=tuple(counts))
-        box = BBox(*box_vals)
-        if box_tol is not None:
-            fg = PreparedMask(rle)
-            if not fg.area:
-                raise BoxMaskInconsistency(f"{path}: instance {iid} has an empty mask but a box")
-            tight = fg.box
-            err = max(abs(box.x - tight.x), abs(box.y - tight.y),
-                      abs(box.w - tight.w), abs(box.h - tight.h))
-            if err > box_tol:
-                raise BoxMaskInconsistency(
-                    f"{path}: instance {iid} box {box} deviates from mask bounds {tight} by {err} px"
-                )
-        instances.append(InstanceLabel(mask=rle, box=box, score=score, instance_id=iid,
-                                       attributes=attributes))
+        instances.append(InstanceLabel(mask=rle, box=BBox(*box_vals), score=score,
+                                       instance_id=iid, attributes=attributes))
     return LabelSet(frame_id=frame_id, height=height, width=width, instances=instances)
+
+
+def read_frame_labels(path, frame_id: str) -> LabelSet:
+    """The labels of frame ``frame_id``: MissingPredictions when the file
+    is missing, FrameMismatch when it holds another frame."""
+    if not Path(path).exists():
+        raise MissingPredictions(frame_id)
+    labels = read_labels(path)
+    if labels.frame_id != frame_id:
+        raise FrameMismatch(f"{path} holds frame {labels.frame_id!r}, not {frame_id!r}")
+    return labels
 
 
 # -- intrinsics / transform ---------------------------------------------------

@@ -1,8 +1,8 @@
 """Binary-mask primitives: RLE codec, IoU, coverage, boxes.
 
 A binary mask is a 2D ``numpy`` array of ``bool`` with shape (height,
-width). Stored masks are :class:`Rle`. :class:`PreparedMask`, a mask's
-tight-box bitmap, is the one codec both ways, so label producers work on
+width). Stored masks are :class:`Rle`, valid once built. :class:`PreparedMask`,
+a mask's tight-box bitmap, is the one codec both ways, so label producers work on
 crops, and every mask IoU and coverage is :func:`intersection`,
 :func:`iou` or :func:`coverage` over prepared masks. :func:`rle_encode`,
 :func:`rle_decode` and :func:`bbox_of` are frame-array adapters over it.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyMask, EmptyTarget, SumMismatch
+from .errors import DimensionMismatch, EmptyMask, EmptyTarget, RleSumMismatch
 
 __all__ = [
     "Rle",
@@ -37,7 +37,8 @@ class Rle:
 
     Counts alternate starting with a zeros-run over the column-major pixel
     scan, so a mask whose first scanned pixel is foreground encodes with a
-    leading 0. ``sum(counts) == height * width`` always.
+    leading 0. Construction raises :class:`~mobilabel.errors.RleSumMismatch`
+    unless the counts are non-negative and sum to ``height * width``.
     """
 
     height: int
@@ -45,7 +46,12 @@ class Rle:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        counts = tuple(map(int, self.counts))
+        low, total = min(counts, default=0), sum(counts)
+        if low < 0 or total != self.height * self.width:
+            raise RleSumMismatch(f"RLE counts sum to {total} with least run {low}, expected runs "
+                                 f">= 0 summing to {self.height * self.width} for {self.height}x{self.width}")
+        object.__setattr__(self, "counts", counts)
 
 
 @dataclass(frozen=True)
@@ -73,14 +79,6 @@ def _check_mask(mask: np.ndarray) -> np.ndarray:
     return mask.astype(bool, copy=False)
 
 
-def _check_counts(rle: Rle) -> None:
-    total = sum(rle.counts)
-    if total != rle.height * rle.width:
-        raise SumMismatch(
-            f"RLE counts sum to {total}, expected {rle.height * rle.width} for {rle.height}x{rle.width}"
-        )
-
-
 def rle_encode(mask: np.ndarray) -> Rle:
     """Encode a binary mask, scanning pixels column by column.
 
@@ -91,11 +89,7 @@ def rle_encode(mask: np.ndarray) -> Rle:
 
 
 def rle_decode(rle: Rle) -> np.ndarray:
-    """Decode an :class:`Rle` back into a (height, width) bool array.
-
-    Raises :class:`~mobilabel.errors.SumMismatch` when the counts do not
-    sum to ``height * width``.
-    """
+    """Decode an :class:`Rle` back into a (height, width) bool array."""
     return PreparedMask(rle).frame()
 
 
@@ -131,7 +125,6 @@ class PreparedMask:
     __slots__ = ("bits", "row", "col", "area", "shape")
 
     def __init__(self, rle: Rle):
-        _check_counts(rle)
         h = rle.height
         counts = np.asarray(rle.counts, dtype=np.int64)
         ends = np.cumsum(counts)
@@ -190,7 +183,7 @@ class PreparedMask:
         bounds, n = np.unique((self.col + c) * h + self.row + r, return_counts=True)
         # an end and a start that meet across a column edge are one run
         counts = np.diff(np.concatenate(([0], bounds[n == 1], [h * w])))
-        return Rle(height=h, width=w, counts=counts[:-1] if counts[-1] == 0 else counts)
+        return Rle(height=h, width=w, counts=(counts[:-1] if counts[-1] == 0 else counts).tolist())
 
     @property
     def box(self) -> BBox:

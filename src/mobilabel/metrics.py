@@ -44,13 +44,13 @@ __all__ = [
 
 COCO_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 SIZE_NAMES = ("S", "M", "L")
+SIZE_BOUNDARIES = (1024.0, 9216.0)  # pixel areas where M and L start
 
 
 @dataclass(frozen=True)
 class EvalConfig:
     iou_thresholds: tuple[float, ...] = COCO_THRESHOLDS
     max_dets: int = 100
-    size_buckets: tuple[float, float] = (1024.0, 9216.0)
     mode: str = "mask"
 
     def __post_init__(self):
@@ -62,9 +62,6 @@ class EvalConfig:
             raise ValueError(f"max_dets must be >= 1, got {self.max_dets}")
         if self.mode not in ("mask", "box"):
             raise ValueError(f"mode must be 'mask' or 'box', got {self.mode!r}")
-        lo, hi = self.size_buckets
-        if not (0 < lo < hi):
-            raise ValueError(f"size bucket boundaries must be increasing, got {self.size_buckets}")
 
 
 @dataclass
@@ -84,13 +81,13 @@ class EvalReport:
     gt_by_attribute: dict[str, int] | None = None
 
 
-def size_bucket(area: float, boundaries: tuple[float, float] = EvalConfig.size_buckets) -> str:
-    """S below the first boundary, M below the second, L otherwise."""
+def size_bucket(area: float) -> str:
+    """S below the first of SIZE_BOUNDARIES, M below the second, L otherwise."""
     if area < 0:
         raise ValueError(f"area must be non-negative, got {area}")
-    if area < boundaries[0]:
+    if area < SIZE_BOUNDARIES[0]:
         return "S"
-    if area < boundaries[1]:
+    if area < SIZE_BOUNDARIES[1]:
         return "M"
     return "L"
 
@@ -194,8 +191,8 @@ def evaluate(preds: Iterable[LabelSet], gt: Iterable[LabelSet], cfg: EvalConfig 
         ordered, matched = _match_frame(p, g, cfg.mode, cfg.iou_thresholds, cfg.max_dets)
         gt_of.append(np.where(matched >= 0, matched + len(gt_bucket), -1))
         keys += [(-q.score, g.frame_id, q.instance_id) for q in ordered]
-        pred_bucket += [size_bucket(q.area, cfg.size_buckets) for q in ordered]
-        gt_bucket += [size_bucket(inst.area, cfg.size_buckets) for inst in g.instances]
+        pred_bucket += [size_bucket(q.area) for q in ordered]
+        gt_bucket += [size_bucket(inst.area) for inst in g.instances]
 
     # (score, frame id, instance id) is a total order: frame order cannot matter
     rank = sorted(range(len(keys)), key=keys.__getitem__)

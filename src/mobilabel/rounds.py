@@ -38,13 +38,12 @@ from .aggregate import AggParams, mask_agg
 from .errors import (
     DimensionMismatch,
     FrameMismatch,
-    MissingPredictions,
     SchemaViolation,
     StageOrderViolation,
     UnsafeFrameId,
 )
 from .initlabel import LabelSet, make_initial_labels
-from .io import _dump_json, _load_json, _want, atomic_write_bytes, read_labels, read_transform, write_labels, write_transform
+from .io import _dump_json, _load_json, _want, atomic_write_bytes, read_frame_labels, read_transform, write_labels, write_transform
 from .maskcore import PreparedMask, iou
 from .rescale import ScaleTransform, make_transform, invert_labels
 
@@ -64,6 +63,12 @@ def _check_pair(name, value, lo_open=False):
             raise ValueError(f"{name} entries must be in (0, 1], got {value}")
         if not lo_open:
             _check_unit(name, v)
+
+
+def _check_jitter(value):
+    _check_pair("scale", value, lo_open=True)
+    if value[0] > value[1]:
+        raise ValueError(f"empty jitter range {value}")
 
 
 @dataclass(frozen=True)
@@ -104,9 +109,7 @@ class RoundConfig:
             _check_unit("conf_threshold", self.conf_threshold)
             if self.scale is None:
                 raise ValueError("moving2mobile needs a scale jitter range")
-            _check_pair("scale", self.scale, lo_open=True)
-            if self.scale[0] > self.scale[1]:
-                raise ValueError(f"empty jitter range {self.scale}")
+            _check_jitter(self.scale)
             if self.agg is not None:
                 raise ValueError("agg applies only to the two-scale stage")
         elif self.stage == "large2small":
@@ -120,7 +123,7 @@ class RoundConfig:
             if self.conf_threshold is not None:
                 raise ValueError("final stage takes no conf_threshold")
             if self.scale is not None:
-                _check_pair("scale", self.scale, lo_open=True)
+                _check_jitter(self.scale)
             if self.agg is not None:
                 raise ValueError("final stage takes no AggParams")
 
@@ -247,14 +250,7 @@ class DetectorExchange:
         write_labels(self.pred_path(predictions.frame_id), predictions)
 
     def read_response(self, frame_id: str) -> LabelSet:
-        path = self.pred_path(frame_id)
-        if not path.exists():
-            raise MissingPredictions(frame_id)
-        preds = read_labels(path)
-        if preds.frame_id != frame_id:
-            raise FrameMismatch(
-                f"prediction file for {frame_id!r} says frame {preds.frame_id!r}")
-        return preds
+        return read_frame_labels(self.pred_path(frame_id), frame_id)
 
     def write_manifest(self, frame_ids: list[str], cfg: RoundConfig) -> None:
         self.root.mkdir(parents=True, exist_ok=True)

@@ -97,6 +97,20 @@ def components_ref(mask, connectivity=8):
     return [c for _, c in comps]
 
 
+def label_counts_ref(path, at, iid, height, width, counts):
+    """A label file's counts rule as a per-count loop and a sum: the first
+    fault as (error class name, field path or None, message), or None
+    when the counts are accepted."""
+    for j, c in enumerate(counts):
+        if isinstance(c, bool) or not isinstance(c, int) or c < 0:
+            field = f"{at}.rle.counts[{j}]"
+            return "SchemaViolation", field, f"{field}: expected a non-negative integer, got {c!r}"
+    if sum(counts) != height * width:
+        return ("RleSumMismatch", None,
+                f"{path}: instance {iid} counts sum to {sum(counts)}, expected {height * width}")
+    return None
+
+
 # ---------------------------------------------------------------------------
 # clustering
 

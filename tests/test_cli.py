@@ -140,6 +140,10 @@ def test_internal_validation_is_usage_error(tmp_path, capsys):
     ["init-labels", "--data", "EMPTY", "--motion-threshold", 2],
     ["init-labels", "--data", "EMPTY", "--motion-threshold", -0.1],
     ["init-labels", "--data", "EMPTY", "--min-area", -5],
+    ["pipeline", "--l0", "EMPTY", "--exchange", "EMPTY", "--m2m-conf", 2],
+    ["pipeline", "--l0", "EMPTY", "--exchange", "EMPTY", "--l2s-confs", 0.9, 1.5],
+    ["pipeline", "--l0", "EMPTY", "--exchange", "EMPTY", "--l2s-scales", 1.0, 0],
+    ["pipeline", "--l0", "EMPTY", "--exchange", "EMPTY", "--jitter", 0.5, 1.5],
 ])
 def test_out_of_range_value_is_usage_error_without_frames(tmp_path, capsys, argv):
     empty = tmp_path / "empty"
@@ -396,6 +400,16 @@ def test_eval_missing_prediction_is_exit_3(dataset, tmp_path):
     assert run("eval", "--pred", empty, "--gt", dataset / "labels") == 3
 
 
+def test_eval_refuses_predictions_without_ground_truth(dataset, tmp_path, capsys):
+    pred = tmp_path / "pred"
+    shutil.copytree(dataset / "labels", pred)
+    for fid in ("000099", "000100"):
+        ls = read_labels(pred / "000001.json")
+        write_labels(pred / f"{fid}.json", dataclasses.replace(ls, frame_id=fid))
+    assert run("eval", "--pred", pred, "--gt", dataset / "labels") == 2
+    assert "frames without ground truth: 000099, 000100" in capsys.readouterr().err
+
+
 # -- pipeline -------------------------------------------------------------------
 
 def _l0(dataset, tmp_path):
@@ -452,6 +466,26 @@ def test_pipeline_writes_nothing_for_a_label_file_holding_another_frame(dataset,
     assert run("pipeline", "--l0", l0, "--exchange", ex, "--out", ex / "out",
                "--mock-gt", dataset / "labels") == 2
     assert not set(tmp_path.rglob("*")) - before
+
+
+def test_pipeline_reversed_jitter_is_usage_error_before_any_read(tmp_path, capsys):
+    # no directory exists: the stage settings are checked first
+    assert run("pipeline", "--l0", tmp_path / "l0", "--exchange", tmp_path / "x",
+               "--out", tmp_path / "o", "--mock-gt", tmp_path / "gt", "--jitter", 1.0, 0.5) == 2
+    assert "empty jitter range" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_pipeline_mock_detector_takes_non_ascii_frame_ids(dataset, tmp_path):
+    l0, gt = tmp_path / "l0", tmp_path / "gt"
+    for src, dst in ((_l0(dataset, tmp_path / "init"), l0), (dataset / "labels", gt)):
+        dst.mkdir()
+        ls = read_labels(src / "000001.json")
+        write_labels(dst / "café.json", dataclasses.replace(ls, frame_id="café"))
+    out = tmp_path / "stages"
+    assert run("pipeline", "--l0", l0, "--exchange", tmp_path / "x", "--out", out,
+               "--mock-gt", gt, "--mock-jitter", 1) == 0
+    assert read_labels(out / "final" / "café.json").frame_id == "café"
 
 
 def test_pipeline_external_mode_needs_responses(dataset, tmp_path):

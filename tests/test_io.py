@@ -2,13 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mobilabel.errors import (
     BadHeader,
     BadMagic,
-    BoxMaskInconsistency,
     FormatError,
     FrameMismatch,
+    MissingPredictions,
     NonFiniteValue,
     RleSumMismatch,
     SchemaViolation,
@@ -18,6 +20,7 @@ from mobilabel.initlabel import CameraIntrinsics, InstanceLabel, LabelSet
 from mobilabel.io import (
     DatasetLayout,
     read_depth,
+    read_frame_labels,
     read_intrinsics,
     read_labels,
     read_motion,
@@ -28,8 +31,10 @@ from mobilabel.io import (
     write_motion,
     write_transform,
 )
-from mobilabel.maskcore import BBox
+from mobilabel.maskcore import BBox, PreparedMask
 from mobilabel.rescale import make_transform
+
+from oracles import label_counts_ref
 
 
 def sample_labels():
@@ -158,8 +163,9 @@ def test_labels_round_trip(tmp_path):
     p = tmp_path / "l.json"
     labels = sample_labels()
     write_labels(p, labels)
-    back = read_labels(p, box_tol=0.0)
+    back = read_labels(p)
     assert back == labels
+    assert all(inst.box == PreparedMask(inst.mask).box for inst in back.instances)
 
 
 def test_labels_writer_deterministic(tmp_path):
@@ -185,9 +191,8 @@ def test_labels_box_not_tight(tmp_path):
     doc = json.loads(p.read_text())
     doc["instances"][0]["box"][0] += 1.0
     p.write_text(json.dumps(doc))
-    read_labels(p)  # tolerated by default: scaled boxes are not pixel-tight
-    with pytest.raises(BoxMaskInconsistency):
-        read_labels(p, box_tol=0.0)
+    back = read_labels(p)  # tolerated: scaled boxes are not pixel-tight
+    assert back.instances[0].box.x == sample_labels().instances[0].box.x + 1.0
 
 
 def test_labels_schema_violations_carry_field_paths(tmp_path):
@@ -217,6 +222,47 @@ def test_labels_schema_violations_carry_field_paths(tmp_path):
         for inst in d["instances"]:
             inst["rle"] = {"size": [100_000, 100_000], "counts": [10**10]}
     assert corrupted(huge_frame) == "$.height"
+
+
+# ints, negatives, bools, floats, strings, None and ints beyond 64 bits
+_count_values = st.one_of(st.integers(-3, 12), st.booleans(), st.floats(), st.text(max_size=2),
+                          st.none(), st.integers(2**63, 2**70), st.integers(-2**70, -2**63))
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.lists(st.integers(0, 16), max_size=6),
+       st.lists(st.tuples(st.integers(0, 8), _count_values), max_size=3))
+@settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_label_counts_faults_match_the_loop_oracle(tmp_path, h, w, cuts, edits):
+    counts = np.diff([0, *sorted(min(c, h * w) for c in cuts), h * w]).tolist()
+    for i, value in edits:  # overwrite a run, or append past the end
+        if i < len(counts):
+            counts[i] = value
+        else:
+            counts.append(value)
+    p = tmp_path / "l.json"
+    p.write_text(json.dumps({"frame_id": "f", "height": h, "width": w, "instances": [
+        {"id": 3, "score": 0.5, "box": [0, 0, 1, 1], "rle": {"size": [h, w], "counts": counts}}]}))
+    want = label_counts_ref(p, "$.instances[0]", 3, h, w, counts)
+    if want is None:
+        inst, = read_labels(p).instances
+        assert list(inst.mask.counts) == counts
+        return
+    with pytest.raises(FormatError) as exc:
+        read_labels(p)
+    name, field, message = want
+    assert type(exc.value).__name__ == name
+    assert getattr(exc.value, "field_path", None) == field
+    assert str(exc.value) == message
+
+
+def test_read_frame_labels_refuses_missing_and_other_frames(tmp_path):
+    p = tmp_path / "000042.json"
+    with pytest.raises(MissingPredictions, match="000042"):
+        read_frame_labels(p, "000042")
+    write_labels(p, sample_labels())
+    assert read_frame_labels(p, "000042") == sample_labels()
+    with pytest.raises(FrameMismatch, match="holds frame '000042', not '000007'"):
+        read_frame_labels(p, "000007")
 
 
 def test_labels_invalid_json_is_typed(tmp_path):

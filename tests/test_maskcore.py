@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mobilabel.errors import DimensionMismatch, EmptyMask, EmptyTarget, SumMismatch
+from mobilabel.errors import DimensionMismatch, EmptyMask, EmptyTarget, RleSumMismatch
 from mobilabel.initlabel import DbscanParams, dbscan_partition
 from mobilabel.io import read_labels
 from mobilabel.maskcore import (
@@ -52,7 +52,7 @@ def test_rle_decode_examples():
 
 
 def test_rle_decode_sum_mismatch():
-    with pytest.raises(SumMismatch):
+    with pytest.raises(RleSumMismatch):
         rle_decode(Rle(2, 2, (3,)))
 
 
@@ -164,8 +164,15 @@ def test_coverage_matches_reference_and_monotone(trip):
 
 
 def test_prepared_mask_rejects_bad_counts():
-    with pytest.raises(SumMismatch):
+    with pytest.raises(RleSumMismatch):
         PreparedMask(Rle(2, 2, (3,)))
+
+
+def test_rle_refuses_a_negative_run_that_still_sums_to_the_frame():
+    with pytest.raises(RleSumMismatch, match="least run -1"):
+        Rle(2, 2, (3, -1, 2))
+    rle = Rle(2, 2, np.array([1, 3]))  # any int-like counts become a tuple of ints
+    assert rle.counts == (1, 3) and all(type(c) is int for c in rle.counts)
 
 
 def _edge_masks(h, w):
@@ -307,8 +314,10 @@ def test_decoder_matches_run_expansion_on_loose_counts(case, tmp_path):
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"frame_id": "f", "height": h, "width": w, "instances": [
         {"id": 0, "score": 0.5, "box": box, "rle": {"size": [h, w], "counts": counts}}]}))
-    inst, = read_labels(path, box_tol=0.0 if want.any() else None).instances
+    inst, = read_labels(path).instances
     assert list(inst.mask.counts) == counts
+    if want.any():
+        assert PreparedMask(inst.mask).box == BBox(*box)
     assert np.array_equal(rle_decode(inst.mask), want)
 
 

@@ -58,6 +58,14 @@ def test_default_snapshot_matches_stock_values():
     }
 
 
+def test_final_stage_refuses_a_reversed_jitter_range_like_moving2mobile():
+    for stage in ("moving2mobile", "final"):
+        conf = 0.5 if stage == "moving2mobile" else None
+        with pytest.raises(ValueError, match="empty jitter range"):
+            RoundConfig(stage=stage, conf_threshold=conf, scale=(1.0, 0.5))
+    assert RoundConfig(stage="final", scale=(0.5, 0.5)).scale == (0.5, 0.5)
+
+
 def test_default_epochs_are_advisory_three_then_twenty():
     m2m, l2s, final = default_stages()
     assert m2m.epochs == 3 and l2s.epochs == 20 and final.epochs == 20

@@ -195,7 +195,8 @@ def test_outputs_pass_io_round_trip(tmp_path):
     got = read_motion(tmp_path / "m.pgm")
     assert np.abs(got - motion).max() <= 0.5 / 255.0
     assert read_intrinsics(tmp_path / "k.json") == k
-    assert read_labels(tmp_path / "l.json", box_tol=0.0) == gt
+    assert read_labels(tmp_path / "l.json") == gt
+    assert all(inst.box == PreparedMask(inst.mask).box for inst in gt.instances)
 
 
 def test_occlusion_fixture_partition():
