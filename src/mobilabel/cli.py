@@ -588,7 +588,7 @@ def _with_config(subs, argv):
     path = _need_file(known.config, "config file")
     try:
         data = json.loads(path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (RecursionError, ValueError) as e:  # ValueError covers bad UTF-8 and bad JSON
         raise ValueError(f"config file {path}: {e}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config file {path}: expected a flat object")

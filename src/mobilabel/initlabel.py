@@ -159,26 +159,63 @@ def project(p, k: CameraIntrinsics) -> tuple[float, float]:
     return v, u
 
 
-def _neighbor_pairs(rows, cols, x, y, z, params):
-    """Yield the (i, j) index arrays of the neighbor pairs of row-major
-    points, each pair once with i < j, one forward pixel offset at a time.
-    Neighbors are read off a flat index raster (-1: no point) padded by the
-    window half-width on every side, so no lookup needs a bounds check and no
-    offset wraps to another row; distances come from the x, y, z columns."""
-    half, eps2 = params.pixel_window // 2, params.eps * params.eps
+def _window(rows, cols, half):
+    """The flat index raster of row-major points (-1: no point), each point's
+    place in it, and the window's forward pixel offsets as flat steps,
+    nearest first. The raster is padded by the window half-width on every
+    side, so no lookup needs a bounds check and no step wraps to another
+    row: point i's neighbor candidates are raster[at[i] +- step]."""
     r, c = rows - rows.min() + half, cols - cols.min() + half
     width = int(c.max()) + half + 1
     raster = np.full((int(r.max()) + half + 1) * width, -1, dtype=np.int32)
     at = r * width + c
     raster[at] = np.arange(len(rows), dtype=np.int32)
-    for dr in range(half + 1):
-        for dc in range(-half if dr else 1, half + 1):
-            j = raster.take(at + (dr * width + dc))
-            i = np.flatnonzero(j >= 0)
-            j = j[i]
-            dx, dy, dz = x.take(j) - x.take(i), y.take(j) - y.take(i), z.take(j) - z.take(i)
-            near = dx * dx + dy * dy + dz * dz <= eps2
-            yield i[near], j[near]
+    offsets = sorted(((dr, dc) for dr in range(half + 1) for dc in range(-half if dr else 1, half + 1)),
+                     key=lambda o: o[0] * o[0] + o[1] * o[1])
+    return raster, at, [dr * width + dc for dr, dc in offsets]
+
+
+def _near(xyz, i, j, eps2):
+    """The point pairs (i[k], j[k]) that lie within eps in 3D."""
+    x, y, z = xyz
+    dx, dy, dz = x.take(j) - x.take(i), y.take(j) - y.take(i), z.take(j) - z.take(i)
+    near = dx * dx + dy * dy + dz * dz <= eps2
+    return i[near], j[near]
+
+
+def _reach(raster, src_at, step):
+    """(k, j): the points j found one step away from the places src_at[k]."""
+    j = raster.take(src_at + step)
+    k = np.flatnonzero(j >= 0)
+    return k, j[k]
+
+
+def _core(xyz, raster, at, steps, eps2, min_pts):
+    """Whether each point has at least min_pts neighbors, itself included.
+
+    Only the open points, those still below min_pts, look neighbors up, both
+    ways at each step; a pair of two open points is counted once, from its
+    first point. A point leaves once it reaches min_pts: degree is only
+    compared to min_pts, so where its count stops does not matter."""
+    degree = np.ones(len(at), dtype=np.int64)
+    is_open = degree < min_pts
+    open_ = np.flatnonzero(is_open)
+    for step in steps:
+        if not open_.size:
+            break
+        # distinct points reach distinct points, so no `+= 1` repeats an index
+        open_at = at.take(open_)
+        k, j = _reach(raster, open_at, step)
+        i, j = _near(xyz, open_[k], j, eps2)
+        degree[i] += 1
+        degree[j[is_open[j]]] += 1
+        k, j = _reach(raster, open_at, -step)
+        settled = ~is_open[j]  # an open j counted this pair from its side
+        i, _ = _near(xyz, open_[k[settled]], j[settled], eps2)
+        degree[i] += 1
+        is_open[open_] = degree[open_] < min_pts
+        open_ = open_[is_open[open_]]
+    return ~is_open
 
 
 def _union(root, a, b):
@@ -210,10 +247,14 @@ def dbscan_partition(points, params: DbscanParams, shape: tuple[int, int]) -> li
 def _clusters(points, params: DbscanParams, shape: tuple[int, int]) -> list[PreparedMask]:
     """:func:`dbscan_partition`'s clusters as box-domain masks, in its order.
 
-    Two passes over :func:`_neighbor_pairs`, which recomputes each offset's
-    pairs rather than holding them all: one counts the neighbors to find the
-    core points, the other unions core-core pairs and collects the core ->
-    non-core edges, both ways, that place the border points afterwards."""
+    Two passes over the window's steps, nearest first, each computing only
+    the distances it needs. :func:`_core` stops counting a point's
+    neighbors once it reaches min_pts. The union pass joins core-core pairs
+    and collects the core/non-core edges that place the border points
+    afterwards; before computing a distance it drops non-core pairs and
+    core pairs whose sets are already joined. Neither rule, nor the order
+    of the steps, changes the result: a set's root is its smallest point
+    whatever the order of the unions."""
     pts = np.asarray(points, dtype=np.float64)
     if len(pts) == 0:
         return []
@@ -224,20 +265,26 @@ def _clusters(points, params: DbscanParams, shape: tuple[int, int]) -> list[Prep
     if ((np.diff(rows) == 0) & (np.diff(cols) == 0)).any():
         raise ValueError("two points share a pixel")
     xyz, n = np.ascontiguousarray(pts[:, 2:].T), len(pts)
-
-    degree = np.ones(n, dtype=np.int64)  # a point is its own neighbor
-    for i, j in _neighbor_pairs(rows, cols, *xyz, params):
-        degree += np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
-    core = degree >= params.min_pts
+    raster, at, steps = _window(rows, cols, params.pixel_window // 2)
+    eps2 = params.eps * params.eps
+    core = _core(xyz, raster, at, steps, eps2, params.min_pts)
     if not core.any():
         return []
     # clusters are the core-core components, created in the order of their
     # first core point, which is each component's root; the empty edge pair
-    # covers pixel_window 1, which has no offsets and so no pairs at all
+    # covers pixel_window 1, which has no steps and so no pairs at all
     root, edges = np.arange(n), [(np.empty(0, np.int64), np.empty(0, np.int64))]
-    for i, j in _neighbor_pairs(rows, cols, *xyz, params):
+    # a core point's key is its root, a non-core point's -1: a pair whose
+    # keys differ is a core pair not yet joined or a core/non-core edge
+    key = np.where(core, root, -1)
+    for step in steps:
+        i, j = _reach(raster, at, step)
+        k = np.flatnonzero(key.take(i) != key.take(j))
+        i, j = _near(xyz, i[k], j[k], eps2)
         ci, cj = core[i], core[j]
-        _union(root, i[ci & cj], j[ci & cj])
+        if (both := ci & cj).any():
+            _union(root, i[both], j[both])
+            key = np.where(core, root, -1)
         edges += [(i[ci & ~cj], j[ci & ~cj]), (j[cj & ~ci], i[cj & ~ci])]
     # a border point joins the earliest-created cluster with a core neighbor
     label = np.where(core, root, n)

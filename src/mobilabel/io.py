@@ -175,8 +175,21 @@ def _load_json(path):
         raise SchemaViolation("$", f"{path}: not valid UTF-8 text ({e})") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except (RecursionError, ValueError) as e:  # bad syntax, too deep, an integer over the digit limit
         raise SchemaViolation("$", f"{path}: invalid structured text ({e})") from None
+
+
+def _number(value, field) -> float:
+    """A JSON number as a finite float, or SchemaViolation at field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaViolation(field, f"expected a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise SchemaViolation(field, "number beyond the float range") from None
+    if not np.isfinite(value):
+        raise SchemaViolation(field, f"expected a finite number, got {value!r}")
+    return value
 
 
 def _want(obj, key, kind, path):
@@ -190,11 +203,7 @@ def _want(obj, key, kind, path):
         if isinstance(value, bool) or not isinstance(value, int):
             raise SchemaViolation(field, f"expected an integer, got {value!r}")
     elif kind == "num":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaViolation(field, f"expected a number, got {value!r}")
-        value = float(value)
-        if not np.isfinite(value):
-            raise SchemaViolation(field, f"expected a finite number, got {value!r}")
+        value = _number(value, field)
     elif kind == "str":
         if not isinstance(value, str):
             raise SchemaViolation(field, f"expected a string, got {value!r}")
@@ -257,11 +266,7 @@ def read_labels(path) -> LabelSet:
         box_raw = _want(entry, "box", "list", at)
         if len(box_raw) != 4:
             raise SchemaViolation(f"{at}.box", f"expected 4 numbers, got {len(box_raw)}")
-        box_vals = []
-        for j, v in enumerate(box_raw):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(float(v)):
-                raise SchemaViolation(f"{at}.box[{j}]", f"expected a finite number, got {v!r}")
-            box_vals.append(float(v))
+        box_vals = [_number(v, f"{at}.box[{j}]") for j, v in enumerate(box_raw)]
         if box_vals[2] < 0 or box_vals[3] < 0:
             raise SchemaViolation(f"{at}.box", f"negative box size in {box_vals}")
         rle_raw = _want(entry, "rle", "dict", at)

@@ -266,7 +266,7 @@ class DetectorExchange:
         config = _want(d, "config", "dict", "$")
         try:
             return frame_ids, RoundConfig.from_dict(config)
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise SchemaViolation("$.config", f"invalid stage config: {type(e).__name__}: {e}") from e
 
 

@@ -524,6 +524,13 @@ def test_config_invalid_json_is_usage_error(tmp_path):
     assert run("synth", "--config", cfg, "--out", tmp_path / "o") == 2
 
 
+def test_config_nested_too_deep_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[" * 200_000 + "]" * 200_000)
+    assert run("synth", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
 def test_config_lists_spread_and_switches_set(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"frames": 1, "objects": [2, 2], "verbose": True,

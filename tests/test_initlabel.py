@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mobilabel import initlabel
 from mobilabel.errors import DimensionMismatch, NonPositiveDepth
 from mobilabel.initlabel import (
     CameraIntrinsics,
     DbscanParams,
     InstanceLabel,
     LabelSet,
-    _neighbor_pairs,
+    _core,
+    _window,
     binarize_motion,
     dbscan_partition,
     make_initial_labels,
@@ -318,26 +320,111 @@ def test_dbscan_pair_exactly_eps_apart_are_neighbors(axis, eps):
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
-def test_neighbor_pairs_are_the_window_pairs_within_eps_once(seed):
+def test_window_steps_reach_each_forward_neighbor_once_nearest_first(seed):
     rng = np.random.default_rng(seed)
     h, w = int(rng.integers(1, 9)), int(rng.integers(1, 9))
     pts = np.array(scatter_points(rng, box_cells(rng, h, w, rng.uniform(0.1, 1.0))))
-    params = DbscanParams(eps=float(rng.choice([0.5, 1.0, 2.0])),
-                          pixel_window=int(rng.choice([1, 2, 3, 4, 5, 10, 11, 21])))
+    half = int(rng.choice([1, 2, 3, 4, 5, 10, 11, 21])) // 2
     rows, cols = pts[:, 0].astype(np.int64), pts[:, 1].astype(np.int64)
-    got = [(int(i), int(j)) for a, b in _neighbor_pairs(rows, cols, *pts[:, 2:].T.copy(), params)
-           for i, j in zip(a, b)]
-    half, eps2 = params.pixel_window // 2, params.eps * params.eps
-    want = set()
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = pts[j, 2:] - pts[i, 2:]
-            if (abs(rows[j] - rows[i]) <= half and abs(cols[j] - cols[i]) <= half
-                    and d[0] * d[0] + d[1] * d[1] + d[2] * d[2] <= eps2):
-                want.add((i, j))
+    raster, at, steps = _window(rows, cols, half)
+    assert len(steps) == ((2 * half + 1) ** 2 - 1) // 2
+    got, offset = [], {}
+    for s in steps:
+        for i in range(len(pts)):
+            j = int(raster[at[i] + s])
+            if j >= 0:
+                got.append((i, j))
+                # one step is one pixel offset: a step that wrapped to
+                # another row would reach some points at another offset
+                assert offset.setdefault(s, (rows[j] - rows[i], cols[j] - cols[i])) == \
+                    (rows[j] - rows[i], cols[j] - cols[i])
+    want = {(i, j) for i in range(len(pts)) for j in range(len(pts))
+            if (rows[j], cols[j]) > (rows[i], cols[i])
+            and rows[j] - rows[i] <= half and abs(cols[j] - cols[i]) <= half}
     assert len(got) == len(set(got))  # each pair once
-    assert all(i < j for i, j in got)
     assert set(got) == want
+    # on a full forward window every step reaches its offset from the
+    # point at (0, half): the offsets come nearest first
+    full = np.array([(r, c) for r in range(half + 1) for c in range(2 * half + 1)])
+    raster, at, steps = _window(full[:, 0], full[:, 1], half)
+    reached = [tuple(full[raster[at[half] + s]] - (0, half)) for s in steps]
+    assert sorted(reached) == sorted((dr, dc) for dr in range(half + 1)
+                                     for dc in range(-half if dr else 1, half + 1))
+    dist = [dr * dr + dc * dc for dr, dc in reached]
+    assert dist == sorted(dist)
+
+
+def dense_cloud(rng):
+    """Points on a box of up to 20 x 20 pixels at fill 0.5 to 1.0, 0.2 apart
+    in x and y, on two or three depth layers: bands of columns with a tenth
+    of the pixels moved to another layer. Most points reach min_pts within
+    a few steps and most window pairs fall in sets already joined."""
+    h, w = int(rng.integers(1, 21)), int(rng.integers(1, 21))
+    cells = np.array(sorted(box_cells(rng, h, w, rng.uniform(0.5, 1.0))))
+    depths = rng.choice([10.0, 10.5, 12.0, 15.0], int(rng.integers(2, 4)), replace=False)
+    layer = (cells[:, 1] - 7) * len(depths) // w
+    moved = rng.random(len(cells)) < 0.1
+    layer[moved] = rng.integers(0, len(depths), int(moved.sum()))
+    jitter = rng.normal(0, 0.05, (len(cells), 3))
+    return [(int(r), int(c), 0.2 * c + jx, 0.2 * r + jy, depths[l] + jz)
+            for (r, c), l, (jx, jy, jz) in zip(cells, layer, jitter)]
+
+
+def dense_params(rng):
+    return DbscanParams(eps=float(rng.choice([0.3, 0.6, 1.0, 2.0])),
+                        min_pts=int(rng.integers(1, 41)),
+                        pixel_window=int(rng.choice([1, 2, 3, 5, 10, 11, 21])))
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_dbscan_matches_bruteforce_on_dense_clouds(seed):
+    # dense enough that the core pass runs out of open points and the
+    # union pass skips pairs already joined
+    rng = np.random.default_rng(seed)
+    pts, params = dense_cloud(rng), dense_params(rng)
+    got = dbscan_partition(pts, params, (30, 30))
+    assert masks_to_pixel_sets(got) == clusters_from_ref(pts, params)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_core_points_are_those_with_min_pts_neighbors(seed):
+    rng = np.random.default_rng(seed)
+    pts, params = np.array(dense_cloud(rng)), dense_params(rng)
+    rows, cols = pts[:, 0].astype(np.int64), pts[:, 1].astype(np.int64)
+    half, eps2 = params.pixel_window // 2, params.eps * params.eps
+    d = [pts[:, None, a] - pts[None, :, a] for a in (2, 3, 4)]
+    neighbor = ((np.abs(rows[:, None] - rows[None, :]) <= half)
+                & (np.abs(cols[:, None] - cols[None, :]) <= half)
+                & (d[0] * d[0] + d[1] * d[1] + d[2] * d[2] <= eps2))
+    raster, at, steps = _window(rows, cols, half)
+    got = _core(np.ascontiguousarray(pts[:, 2:].T), raster, at, steps, eps2, params.min_pts)
+    assert np.array_equal(got, neighbor.sum(axis=1) >= params.min_pts)
+
+
+def test_dbscan_computes_few_distances_on_a_dense_cloud(monkeypatch):
+    # a work count, not a timing: both passes together may compute at most
+    # a quarter of the distances of the two full passes over every
+    # in-window pair
+    rng = np.random.default_rng(0)
+    cells = box_cells(rng, 60, 80, 0.9)
+    depth = np.where(np.array([c for _, c in cells]) < 47, 14.0, 18.0) + rng.normal(0, 0.05, len(cells))
+    pts = [(r, c, 0.02 * c, 0.02 * r, z) for (r, c), z in zip(cells, depth)]
+    params = DbscanParams()
+    half, taken = params.pixel_window // 2, set(cells)
+    candidates = sum((r + dr, c + dc) in taken for r, c in cells
+                     for dr in range(half + 1) for dc in range(-half if dr else 1, half + 1))
+    near, computed = initlabel._near, []
+
+    def counting(xyz, i, j, eps2):
+        computed.append(len(i))
+        return near(xyz, i, j, eps2)
+
+    monkeypatch.setattr(initlabel, "_near", counting)
+    got = dbscan_partition(pts, params, (70, 90))
+    assert len(got) == 2
+    assert sum(computed) <= 2 * candidates / 4
 
 
 # -- contour baseline: 8-connected components of the motion blob ------

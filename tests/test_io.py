@@ -275,6 +275,42 @@ def test_labels_invalid_json_is_typed(tmp_path):
         read_labels(p)
 
 
+def _one_instance(**entry):
+    return {"frame_id": "f", "height": 2, "width": 2, "instances": [
+        {"id": 0, "score": 0.5, "box": [0, 0, 1, 1], "rle": {"size": [2, 2], "counts": [0, 4]},
+         **entry}]}
+
+
+@pytest.mark.parametrize("read, doc, field", [
+    (read_labels, _one_instance(score=10**400), "$.instances[0].score"),
+    (read_labels, _one_instance(box=[0, 0, 10**400, 1]), "$.instances[0].box[2]"),
+    (read_intrinsics, {"fx": 10**400, "fy": 1.0, "cx": 0.0, "cy": 0.0}, "$.fx"),
+])
+def test_numbers_beyond_the_float_range_are_typed(tmp_path, read, doc, field):
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SchemaViolation) as exc:
+        read(p)
+    assert exc.value.field_path == field
+
+
+def test_labels_nested_too_deep_are_typed(tmp_path):
+    p = tmp_path / "f.json"
+    p.write_text('{"frame_id": "f", "height": 2, "width": 2, "instances": '
+                 + "[" * 200_000 + "]" * 200_000 + "}")
+    with pytest.raises(SchemaViolation) as exc:
+        read_labels(p)
+    assert exc.value.field_path == "$"
+
+
+def test_labels_integer_over_the_digit_limit_is_typed(tmp_path):
+    p = tmp_path / "f.json"
+    p.write_text('{"frame_id": "f", "height": 1' + "0" * 5000 + ', "width": 2, "instances": []}')
+    with pytest.raises(SchemaViolation) as exc:
+        read_labels(p)
+    assert exc.value.field_path == "$"
+
+
 # -- intrinsics / transform -----------------------------------------------------
 
 def test_intrinsics_round_trip(tmp_path):

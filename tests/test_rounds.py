@@ -216,6 +216,8 @@ def test_manifest_round_trip(tmp_path):
     ({"frame_ids": [], "config": {**default_stages()[1].to_dict(),
                                   "agg": {"no_such_knob": 1}}}, "$.config"),
     (["000000"], "$"),
+    ({"frame_ids": [], "config": {**default_stages()[0].to_dict(),
+                                  "conf_threshold": 10**400}}, "$.config"),
 ])
 def test_malformed_manifest_is_a_schema_violation(tmp_path, payload, field):
     ex = DetectorExchange(tmp_path / "x")
