@@ -45,10 +45,11 @@ import numpy as np
 
 from .aggregate import AggParams, mask_agg, nms
 from .errors import FrameMismatch, MissingPredictions, MobilabelError
-from .initlabel import DbscanParams, LabelSet, make_initial_labels
+from .initlabel import DbscanParams, LabelSet, _level_cut, _moving_labels, make_initial_labels
 from .io import (
     DatasetLayout,
     _dump_json,
+    _read_pgm,
     atomic_write_bytes,
     read_depth,
     read_frame_labels,
@@ -146,10 +147,12 @@ def cmd_synth(args) -> int:
 # -- init-labels --------------------------------------------------------------------
 
 def _init_frame(fid, layout, out, k, params, motion_threshold, min_area):
-    ls = make_initial_labels(read_depth(layout.depth_path(fid)),
-                             read_motion(layout.motion_path(fid)), k, params,
-                             motion_threshold=motion_threshold, min_area=min_area,
-                             frame_id=fid)
+    # make_initial_labels on the stored levels, cut where binarize_motion
+    # would cut their probabilities; unproject refuses rasters whose shapes
+    # differ with make_initial_labels' DimensionMismatch
+    depth = read_depth(layout.depth_path(fid))
+    levels = _read_pgm(layout.motion_path(fid))
+    ls = _moving_labels(depth, levels >= _level_cut(motion_threshold), k, params, min_area, fid)
     write_labels(out / f"{fid}.json", ls)
     return len(ls.instances)
 

@@ -131,6 +131,14 @@ def binarize_motion(motion: np.ndarray, threshold: float) -> np.ndarray:
     return motion >= threshold
 
 
+def _level_cut(threshold) -> int:
+    """The smallest 8-bit motion level L with L / 255.0 >= threshold, or 256
+    when there is none, so ``levels >= _level_cut(t)`` equals
+    ``binarize_motion(levels / 255.0, t)`` for uint8 levels, every one of
+    which is a probability in [0, 1]."""
+    return 256 - int(np.count_nonzero(np.arange(256, dtype=np.float64) / 255.0 >= threshold))
+
+
 def unproject(depth: np.ndarray, k: CameraIntrinsics, moving: np.ndarray) -> np.ndarray:
     """Lift the foreground pixels, in row-major order, to an (n, 5) float64
     array of (row, col, x, y, z). Integer (row, col) addresses the pixel
@@ -140,8 +148,9 @@ def unproject(depth: np.ndarray, k: CameraIntrinsics, moving: np.ndarray) -> np.
     moving = np.asarray(moving, dtype=bool)
     if depth.shape != moving.shape:
         raise DimensionMismatch(f"depth {depth.shape} vs motion {moving.shape}")
-    rows, cols = np.nonzero(moving)
-    d = depth[rows, cols].astype(np.float64)  # widen only the picked pixels
+    flat = np.flatnonzero(moving)
+    rows, cols = np.divmod(flat, moving.shape[1])
+    d = depth.reshape(-1).take(flat).astype(np.float64)  # widen only the picked pixels
     bad = ~np.isfinite(d) | (d <= 0)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
@@ -307,13 +316,20 @@ def make_initial_labels(depth: np.ndarray, motion: np.ndarray, k: CameraIntrinsi
     """End-to-end initial pseudo-labels for one frame.
 
     Clusters below min_area pixels are dropped. Every surviving instance
-    gets score 1.0 and a sequential id starting at 0.
+    gets score 1.0 and a sequential id starting at 0. ``init-labels`` cuts
+    the stored 8-bit motion levels instead of binarizing probabilities, by
+    a rule that selects the same pixels, so its labels equal these.
     """
     motion = np.asarray(motion)
     depth = np.asarray(depth)
     if depth.shape != motion.shape:
         raise DimensionMismatch(f"depth {depth.shape} vs motion {motion.shape}")
-    moving = binarize_motion(motion, motion_threshold)
+    return _moving_labels(depth, binarize_motion(motion, motion_threshold), k, params,
+                          min_area, frame_id)
+
+
+def _moving_labels(depth, moving, k, params, min_area, frame_id) -> LabelSet:
+    """:func:`make_initial_labels` from its bool ``moving`` mask on."""
     points = unproject(depth, k, moving)
     instances = []
     for m in _clusters(points, params, moving.shape):

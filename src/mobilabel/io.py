@@ -86,25 +86,33 @@ def write_depth(path, depth: np.ndarray) -> None:
 
 
 def read_depth(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if len(data) < 4:
-        raise TruncatedFile(f"{path}: {len(data)} bytes, need at least 4 for the magic")
-    if data[:4] != _DEPTH_MAGIC:
-        raise BadMagic(f"{path}: magic {data[:4]!r} != {_DEPTH_MAGIC!r}")
-    if len(data) < 12:
-        raise TruncatedFile(f"{path}: header truncated at {len(data)} bytes")
-    w, h = struct.unpack("<II", data[4:12])
-    if w == 0 or h == 0:
-        raise BadHeader(f"{path}: zero dimension {w}x{h}")
-    expected = 12 + 4 * w * h
-    if len(data) < expected:
-        raise TruncatedFile(f"{path}: {len(data)} bytes, expected {expected}")
-    if len(data) > expected:
-        raise BadHeader(f"{path}: {len(data) - expected} trailing bytes")
-    values = np.frombuffer(data, dtype="<f4", offset=12).reshape(h, w)
+    """The (h, w) float32 raster of a depth file. Its size is checked
+    against the header before anything is allocated, and the payload is
+    read straight into the returned array."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(12)
+        if size < 4:
+            raise TruncatedFile(f"{path}: {size} bytes, need at least 4 for the magic")
+        if head[:4] != _DEPTH_MAGIC:
+            raise BadMagic(f"{path}: magic {head[:4]!r} != {_DEPTH_MAGIC!r}")
+        if size < 12:
+            raise TruncatedFile(f"{path}: header truncated at {size} bytes")
+        w, h = struct.unpack("<II", head[4:12])
+        if w == 0 or h == 0:
+            raise BadHeader(f"{path}: zero dimension {w}x{h}")
+        expected = 12 + 4 * w * h
+        if size < expected:
+            raise TruncatedFile(f"{path}: {size} bytes, expected {expected}")
+        if size > expected:
+            raise BadHeader(f"{path}: {size - expected} trailing bytes")
+        values = np.empty((h, w), dtype="<f4")
+        got = f.readinto(values)
+        if got < 4 * w * h:
+            raise TruncatedFile(f"{path}: {12 + got} bytes, expected {expected}")
     if not np.isfinite(values).all():
         raise NonFiniteValue(f"{path}: depth payload contains non-finite values")
-    return np.array(values, dtype=np.float32)
+    return values.astype(np.float32, copy=False)
 
 
 # -- motion: 8-bit binary PGM, probability = value / 255 -------------------
@@ -123,7 +131,10 @@ def _pgm_token(data: bytes, pos: int, path) -> tuple[int, int]:
     token = data[start:pos]
     if not token.isdigit():
         raise BadHeader(f"{path}: expected an integer header token, got {token!r}")
-    return int(token), pos
+    try:
+        return int(token), pos
+    except ValueError:  # more digits than int() converts
+        raise BadHeader(f"{path}: header token of {len(token)} digits") from None
 
 
 def write_motion(path, prob: np.ndarray) -> None:
@@ -137,7 +148,9 @@ def write_motion(path, prob: np.ndarray) -> None:
     atomic_write_bytes(path, f"P5\n{w} {h}\n255\n".encode("ascii") + payload)
 
 
-def read_motion(path) -> np.ndarray:
+def _read_pgm(path) -> np.ndarray:
+    """The uint8 (h, w) levels of an 8-bit binary PGM: a read-only view of
+    the file's bytes, after every header check."""
     data = Path(path).read_bytes()
     if len(data) < 2:
         raise TruncatedFile(f"{path}: {len(data)} bytes")
@@ -153,13 +166,20 @@ def read_motion(path) -> np.ndarray:
     if pos >= len(data) or data[pos] not in _WS:
         raise BadHeader(f"{path}: missing whitespace after maxval")
     pos += 1
-    payload = data[pos:]
-    if len(payload) < w * h:
-        raise TruncatedFile(f"{path}: payload {len(payload)} bytes, expected {w * h}")
-    if len(payload) > w * h:
-        raise BadHeader(f"{path}: {len(payload) - w * h} trailing bytes")
-    values = np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
-    return values.astype(np.float64) / 255.0
+    payload = len(data) - pos
+    if payload < w * h:
+        raise TruncatedFile(f"{path}: payload {payload} bytes, expected {w * h}")
+    if payload > w * h:
+        raise BadHeader(f"{path}: {payload - w * h} trailing bytes")
+    return np.frombuffer(data, dtype=np.uint8, offset=pos).reshape(h, w)
+
+
+def read_motion(path) -> np.ndarray:
+    """Motion probabilities, level / 255, as float64. ``init-labels`` cuts
+    the stored 8-bit levels instead, by the rule that gives the same
+    moving pixels as :func:`mobilabel.initlabel.binarize_motion` on these
+    values."""
+    return _read_pgm(path).astype(np.float64) / 255.0
 
 
 # -- structured-text helpers ------------------------------------------------

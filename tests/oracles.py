@@ -5,6 +5,9 @@ the package code is vectorized and these are not, so agreement between the
 two is meaningful. Do not import mobilabel from this module.
 """
 
+import struct
+from pathlib import Path
+
 import numpy as np
 
 
@@ -329,3 +332,40 @@ def ap101_ref(scores, is_tp, n_gt):
                 best = prec
         ap += best
     return ap / 101.0
+
+
+# ---------------------------------------------------------------------------
+# file readers
+
+
+class RefReject(Exception):
+    """A reference reader's refusal: the name of the error class the package
+    raises for the input, and its message."""
+
+    def __init__(self, kind, message):
+        super().__init__(kind, message)
+        self.kind, self.message = kind, message
+
+
+def read_depth_ref(path):
+    """The depth reader as one whole-file read: the file's bytes, checked
+    in order (magic, header, size, finiteness), then copied out."""
+    data = Path(path).read_bytes()
+    if len(data) < 4:
+        raise RefReject("TruncatedFile", f"{path}: {len(data)} bytes, need at least 4 for the magic")
+    if data[:4] != b"DPF1":
+        raise RefReject("BadMagic", f"{path}: magic {data[:4]!r} != {b'DPF1'!r}")
+    if len(data) < 12:
+        raise RefReject("TruncatedFile", f"{path}: header truncated at {len(data)} bytes")
+    w, h = struct.unpack("<II", data[4:12])
+    if w == 0 or h == 0:
+        raise RefReject("BadHeader", f"{path}: zero dimension {w}x{h}")
+    expected = 12 + 4 * w * h
+    if len(data) < expected:
+        raise RefReject("TruncatedFile", f"{path}: {len(data)} bytes, expected {expected}")
+    if len(data) > expected:
+        raise RefReject("BadHeader", f"{path}: {len(data) - expected} trailing bytes")
+    values = np.frombuffer(data, dtype="<f4", offset=12).reshape(h, w)
+    if not np.isfinite(values).all():
+        raise RefReject("NonFiniteValue", f"{path}: depth payload contains non-finite values")
+    return np.array(values, dtype=np.float32)

@@ -15,7 +15,15 @@ import mobilabel.io
 from mobilabel.aggregate import AggParams
 from mobilabel.cli import _from_flags, _with_config, build_parser, main
 from mobilabel.initlabel import DbscanParams, make_initial_labels
-from mobilabel.io import read_labels, write_labels, write_motion
+from mobilabel.io import (
+    DatasetLayout,
+    read_depth,
+    read_intrinsics,
+    read_labels,
+    read_motion,
+    write_labels,
+    write_motion,
+)
 from mobilabel.maskcore import PreparedMask, iou
 from mobilabel.metrics import EvalConfig
 from mobilabel.rounds import default_config_snapshot, default_stages, gt_overlap_filter
@@ -217,17 +225,35 @@ def test_init_labels_finds_moving_objects(dataset, tmp_path, capsys):
 
 
 def test_init_labels_reads_each_raster_once(dataset, tmp_path, monkeypatch):
-    read_depth = mobilabel.io.read_depth
-    calls = []
+    calls = {"read_depth": [], "_read_pgm": []}  # every motion read goes through _read_pgm
 
-    def counting(path):
-        calls.append(path)
-        return read_depth(path)
+    def counting(name, read):
+        def counted(path):
+            calls[name].append(path)
+            return read(path)
+        return counted
 
-    for module in (mobilabel.io, mobilabel.cli):
-        monkeypatch.setattr(module, "read_depth", counting)
+    for name in calls:
+        counted = counting(name, getattr(mobilabel.io, name))
+        for module in (mobilabel.io, mobilabel.cli):
+            monkeypatch.setattr(module, name, counted)
     assert run("init-labels", "--data", dataset, "--out", tmp_path / "l0") == 0
-    assert len(calls) == 3
+    assert {name: len(paths) for name, paths in calls.items()} == {"read_depth": 3, "_read_pgm": 3}
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.1, 26 / 255, 1.0])
+def test_init_labels_writes_what_make_initial_labels_gives(tmp_path, threshold):
+    root = tmp_path / "data"  # blur radius 3 stores level 26, the cut of 0.1 and 26/255
+    assert run("synth", "--out", root, "--frames", 2, "--seed", 4, "--motion-blur", 3) == 0
+    assert run("init-labels", "--data", root, "--out", tmp_path / "l0",
+               "--motion-threshold", repr(threshold)) == 0
+    layout = DatasetLayout(root)
+    k = read_intrinsics(layout.intrinsics_path)
+    for fid in layout.frame_ids():
+        labels = make_initial_labels(read_depth(layout.depth_path(fid)), read_motion(layout.motion_path(fid)),
+                                     k, DbscanParams(), motion_threshold=threshold, frame_id=fid)
+        write_labels(tmp_path / "want.json", labels)
+        assert (tmp_path / "l0" / f"{fid}.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
 def test_init_labels_mismatched_rasters_is_usage_error(dataset, tmp_path, capsys):

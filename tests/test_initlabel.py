@@ -11,6 +11,7 @@ from mobilabel.initlabel import (
     InstanceLabel,
     LabelSet,
     _core,
+    _level_cut,
     _window,
     binarize_motion,
     dbscan_partition,
@@ -18,6 +19,7 @@ from mobilabel.initlabel import (
     project,
     unproject,
 )
+from mobilabel.io import _read_pgm, read_motion, write_motion
 from mobilabel.maskcore import PreparedMask, rle_decode, rle_encode
 
 from oracles import dbscan_ref
@@ -49,6 +51,18 @@ def test_binarize_rejects_bad_probabilities():
         binarize_motion(np.array([[1.5]]), 0.1)
     with pytest.raises(ValueError):
         binarize_motion(np.array([[np.nan]]), 0.1)
+
+
+def test_level_cut_selects_what_binarize_motion_selects(tmp_path):
+    p = tmp_path / "m.pgm"
+    write_motion(p, np.arange(256).reshape(16, 16) / 255.0)
+    levels = _read_pgm(p)
+    assert np.array_equal(levels.ravel(), np.arange(256))
+    motion = read_motion(p)
+    cuts = np.arange(256) / 255.0
+    thresholds = [0.0, 1.0, np.nan, *cuts, *np.nextafter(cuts, -np.inf), *np.nextafter(cuts, np.inf)]
+    for t in thresholds:
+        assert np.array_equal(levels >= _level_cut(t), binarize_motion(motion, t)), t
 
 
 # -- unproject ---------------------------------------------------------
@@ -93,6 +107,43 @@ def test_unproject_widens_any_depth_dtype_like_float64(dtype):
 def test_unproject_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         unproject(np.ones((2, 2)), K_PLAIN, np.ones((2, 3), dtype=bool))
+
+
+def unproject_2d_ref(depth, k, moving):
+    """unproject by a 2-D scan of the mask and fancy indexing of the depth."""
+    rows, cols = np.nonzero(moving)
+    d = depth[rows, cols].astype(np.float64)
+    return np.column_stack((rows, cols, (cols - k.cx) / k.fx * d, (rows - k.cy) / k.fy * d, d))
+
+
+@pytest.mark.parametrize("case", ["fortran", "strided", "int-mask", "empty", "full"])
+def test_unproject_matches_a_2d_scan(case):
+    rng = np.random.default_rng(5)
+    k = CameraIntrinsics(fx=700.0, fy=650.0, cx=8.5, cy=6.0)
+    depth = rng.uniform(0.5, 60.0, (13, 17))
+    moving = rng.random((13, 17)) < 0.3
+    if case == "fortran":
+        depth, moving = np.asfortranarray(depth), np.asfortranarray(moving)
+    elif case == "strided":
+        depth = rng.uniform(0.5, 60.0, (26, 51))[::2, ::3]
+    elif case == "int-mask":
+        moving = moving.astype(np.int64)
+    elif case == "empty":
+        moving = np.zeros_like(moving)
+    else:
+        moving = np.ones_like(moving)
+    got = unproject(depth, k, moving)
+    assert got.shape == (np.count_nonzero(moving), 5)
+    assert np.array_equal(got, unproject_2d_ref(depth, k, moving != 0))
+
+
+def test_unproject_names_the_row_major_first_bad_pixel():
+    depth = np.full((3, 4), 2.0)
+    depth[2, 0] = 0.0  # first in column-major order
+    depth[0, 3] = -1.0  # first in row-major order
+    with pytest.raises(NonPositiveDepth) as exc:
+        unproject(np.asfortranarray(depth), K_PLAIN, np.ones((3, 4), dtype=bool))
+    assert (exc.value.row, exc.value.col, exc.value.value) == (0, 3, -1.0)
 
 
 @given(

@@ -1,4 +1,6 @@
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from mobilabel.io import (
 from mobilabel.maskcore import BBox, PreparedMask
 from mobilabel.rescale import make_transform
 
-from oracles import label_counts_ref
+from oracles import RefReject, label_counts_ref, read_depth_ref
 
 
 def sample_labels():
@@ -105,6 +107,62 @@ def test_depth_writer_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+_SIDES = st.one_of(st.integers(0, 5), st.sampled_from([65_535, 2**31, 2**32 - 1]),
+                   st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def depth_files(draw):
+    """A valid depth file, then left as it is, cut short, given byte flips,
+    given inserted bytes, or given another declared width and height."""
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    values = draw(st.lists(st.floats(width=32), min_size=h * w, max_size=h * w))
+    data = bytearray(b"DPF1" + struct.pack("<II", w, h) + np.array(values, dtype="<f4").tobytes())
+    op = draw(st.sampled_from(["keep", "truncate", "flip", "insert", "dims"]))
+    if op == "truncate":
+        del data[draw(st.integers(0, len(data) - 1)):]
+    elif op == "flip":
+        for _ in range(draw(st.integers(1, 4))):
+            data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    elif op == "insert":
+        at = draw(st.integers(0, len(data)))
+        data[at:at] = draw(st.binary(min_size=1, max_size=8))
+    elif op == "dims":
+        data[4:12] = struct.pack("<II", draw(_SIDES), draw(_SIDES))
+    return bytes(data)
+
+
+@given(depth_files())
+@settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_read_depth_matches_the_whole_file_reader(tmp_path, blob):
+    p = tmp_path / "d.dpf1"
+    p.write_bytes(blob)
+    try:
+        want = read_depth_ref(p)
+    except RefReject as ref:
+        with pytest.raises(FormatError) as got:
+            read_depth(p)
+        assert (type(got.value).__name__, str(got.value)) == (ref.kind, ref.message)
+        return
+    got = read_depth(p)
+    assert got.dtype == np.float32 and got.shape == want.shape
+    assert got.flags.c_contiguous and got.flags.writeable
+    assert np.array_equal(got, want)
+
+
+def test_read_depth_checks_the_declared_size_before_allocating(tmp_path):
+    p = tmp_path / "d.dpf1"
+    p.write_bytes(b"DPF1" + struct.pack("<II", 65_535, 65_535))  # 16 GiB declared
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedFile):
+            read_depth(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # -- motion ------------------------------------------------------------------
 
 def test_motion_quantization_round_trip(tmp_path):
@@ -142,6 +200,18 @@ def test_motion_header_errors(tmp_path):
         p.write_bytes(blob)
         with pytest.raises(err):
             read_motion(p)
+
+
+@pytest.mark.parametrize("blob", [
+    b"P5\n" + b"1" * 5000 + b" 1\n255\n",
+    b"P5\n1 " + b"1" * 5000 + b"\n255\n",
+    b"P5\n1 1\n" + b"2" * 5000 + b"\n\x00",
+], ids=["width", "height", "maxval"])
+def test_motion_header_token_beyond_the_digit_limit_is_typed(tmp_path, blob):
+    p = tmp_path / "m.pgm"
+    p.write_bytes(blob)
+    with pytest.raises(BadHeader):
+        read_motion(p)
 
 
 def test_motion_writer_rejects_bad_probabilities(tmp_path):
