@@ -5,9 +5,7 @@ from mobilabel import (
     InstanceLabel,
     LabelSet,
     PreparedMask,
-    bbox_of,
     iou,
-    mask_area,
     nms,
     rle_decode,
     rle_encode,
@@ -24,7 +22,10 @@ mask[0, 19] = True
 rle = rle_encode(mask)
 print("rle counts:", rle.counts)
 print("round trip exact:", np.array_equal(rle_decode(rle), mask))
-print("area:", mask_area(mask), "box:", bbox_of(mask))
+# a prepared mask owns the mask's area and tight box; from_bits places a bitmap
+# in its frame, here at the top-left of a frame of the same size
+prep = PreparedMask.from_bits(mask, 0, 0, mask.shape)
+print("area:", prep.area, "box:", prep.box)
 
 # IoU of two shifted copies of the same rectangle; a prepared mask keeps
 # only the bitmap of its tight box, which is all the IoU kernel reads

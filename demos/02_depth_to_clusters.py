@@ -10,9 +10,9 @@ import numpy as np
 
 from mobilabel import (
     DbscanParams,
+    PreparedMask,
     dbscan_partition,
     make_initial_labels,
-    mask_area,
     occlusion_fixture,
     unproject,
 )
@@ -32,9 +32,15 @@ print("contour components:", len(flat))
 pts = unproject(depth, k, moving)
 print("unprojected points:", len(pts), "first:", pts[0])
 
+
+def area(m):
+    """A frame mask's pixel count, as the prepared mask holds it."""
+    return PreparedMask.from_bits(m, 0, 0, m.shape).area
+
+
 clusters = dbscan_partition(pts, DbscanParams(), depth.shape)
-print("dbscan clusters:", len(clusters), "areas:", sorted(mask_area(c) for c in clusters))
-for c, e in zip(sorted(clusters, key=mask_area), sorted(expected, key=mask_area)):
+print("dbscan clusters:", len(clusters), "areas:", sorted(area(c) for c in clusters))
+for c, e in zip(sorted(clusters, key=area), sorted(expected, key=area)):
     print("  matches expected mask:", np.array_equal(c, e))
 
 # the one-call version: threshold, unproject, cluster, label

@@ -29,12 +29,10 @@ from .maskcore import (
     BBox,
     PreparedMask,
     Rle,
-    bbox_of,
     box_iou,
     coverage,
     intersection,
     iou,
-    mask_area,
     rle_decode,
     rle_encode,
 )
@@ -78,11 +76,11 @@ __all__ = [
     "AggParams", "BBox", "COCO_THRESHOLDS", "CameraIntrinsics", "DatasetLayout",
     "DbscanParams", "DetectorExchange", "DetectorNoise", "EvalConfig", "EvalReport",
     "InstanceLabel", "LabelSet", "PreparedMask", "Rle", "RoundConfig", "STAGES",
-    "ScaleTransform", "SceneSpec", "bbox_of", "binarize_motion", "box_iou",
+    "ScaleTransform", "SceneSpec", "binarize_motion", "box_iou",
     "build_round", "coverage", "dbscan_partition",
     "default_config_snapshot", "default_stages", "evaluate", "generate_scene",
     "gt_overlap_filter", "intersection", "invert_labels", "iou", "make_initial_labels",
-    "make_transform", "mask_agg", "mask_area", "mock_detector", "nms",
+    "make_transform", "mask_agg", "mock_detector", "nms",
     "occlusion_fixture", "project", "rle_decode", "rle_encode", "run_pipeline",
     "scene_intrinsics", "size_bucket", "threshold_filter", "transform_labels",
     "transform_raster", "unproject",

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .initlabel import CameraIntrinsics, InstanceLabel, LabelSet
 from .maskcore import BBox, Rle
-from .rescale import ScaleTransform
+from .rescale import ScaleTransform, make_transform
 
 __all__ = [
     "atomic_write_bytes",
@@ -358,22 +358,25 @@ def write_transform(path, t: ScaleTransform) -> None:
 
 
 def read_transform(path) -> ScaleTransform:
+    """Read a transform file: its scale and frame size rebuild the transform
+    with :func:`~mobilabel.rescale.make_transform`, and its padding must be
+    the padding that transform derives, or the file is refused."""
     doc = _load_json(path)
     scale = _want(doc, "scale", "num", "$")
     pad_right = _want(doc, "pad_right", "int", "$")
     pad_bottom = _want(doc, "pad_bottom", "int", "$")
     orig_height = _want(doc, "orig_height", "int", "$")
     orig_width = _want(doc, "orig_width", "int", "$")
-    if not (0 < scale <= 1):
-        raise SchemaViolation("$.scale", f"scale must lie in (0, 1], got {scale}")
-    if pad_right < 0 or pad_bottom < 0:
-        raise SchemaViolation("$.pad_right", f"padding must be non-negative, got {pad_right}, {pad_bottom}")
-    if orig_height < 1 or orig_width < 1:
-        raise SchemaViolation("$.orig_height", f"dimensions must be positive, got {orig_height}x{orig_width}")
-    if pad_bottom >= orig_height or pad_right >= orig_width:
-        raise SchemaViolation("$.pad_bottom", "padding leaves no content region")
-    return ScaleTransform(scale=scale, pad_right=pad_right, pad_bottom=pad_bottom,
-                          orig_height=orig_height, orig_width=orig_width)
+    try:
+        t = make_transform(orig_height, orig_width, scale)
+        derived = (t.pad_right, t.pad_bottom)
+    except (ValueError, OverflowError) as e:  # OverflowError: a size beyond the float range
+        raise SchemaViolation("$", str(e)) from None
+    if (pad_right, pad_bottom) != derived:
+        raise SchemaViolation("$.pad_right" if pad_right != derived[0] else "$.pad_bottom",
+                              f"padding (right, bottom) {(pad_right, pad_bottom)} != {derived}, the padding "
+                              f"of a {orig_height}x{orig_width} frame at scale {scale}")
+    return t
 
 
 # -- dataset layout -------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 A binary mask is a 2D ``numpy`` array of ``bool`` with shape (height,
 width). Stored masks are :class:`Rle`, valid once built. :class:`PreparedMask`,
-a mask's tight-box bitmap, is the one codec both ways, so label producers work on
-crops, and every mask IoU and coverage is :func:`intersection`,
-:func:`iou` or :func:`coverage` over prepared masks. :func:`rle_encode`,
-:func:`rle_decode` and :func:`bbox_of` are frame-array adapters over it.
+a mask's tight-box bitmap, is the one codec both ways and owns a mask's box
+and area, so label producers work on crops, and every mask IoU and coverage
+is :func:`intersection`, :func:`iou` or :func:`coverage` over prepared masks.
+:func:`rle_encode` and :func:`rle_decode` remain frame-array adapters over it.
 """
 
 from __future__ import annotations
@@ -21,13 +21,11 @@ __all__ = [
     "BBox",
     "rle_encode",
     "rle_decode",
-    "mask_area",
     "PreparedMask",
     "intersection",
     "iou",
     "box_iou",
     "coverage",
-    "bbox_of",
 ]
 
 
@@ -72,30 +70,20 @@ class BBox:
         return self.w * self.h
 
 
-def _check_mask(mask: np.ndarray) -> np.ndarray:
-    mask = np.asarray(mask)
-    if mask.ndim != 2 or mask.shape[0] < 1 or mask.shape[1] < 1:
-        raise ValueError(f"mask must be a 2D array with positive dimensions, got shape {mask.shape}")
-    return mask.astype(bool, copy=False)
-
-
 def rle_encode(mask: np.ndarray) -> Rle:
     """Encode a binary mask, scanning pixels column by column.
 
     The inverse of :func:`rle_decode`; the round trip is bit-exact.
     """
-    mask = _check_mask(mask)
+    mask = np.asarray(mask)
+    if mask.ndim != 2 or mask.shape[0] < 1 or mask.shape[1] < 1:
+        raise ValueError(f"mask must be a 2D array with positive dimensions, got shape {mask.shape}")
     return PreparedMask.from_bits(mask, 0, 0, mask.shape).rle()
 
 
 def rle_decode(rle: Rle) -> np.ndarray:
     """Decode an :class:`Rle` back into a (height, width) bool array."""
     return PreparedMask(rle).frame()
-
-
-def mask_area(mask: np.ndarray) -> int:
-    """Number of foreground pixels."""
-    return int(np.count_nonzero(_check_mask(mask)))
 
 
 def box_iou(a: BBox, b: BBox) -> float:
@@ -249,11 +237,3 @@ def coverage(refs, targ: PreparedMask) -> float:
             part |= _view(m.bits, m.row, m.col, win)
     return int(np.count_nonzero(covered & targ.bits)) / targ.area
 
-
-def bbox_of(mask: np.ndarray) -> BBox:
-    """Tight bounding box of the foreground pixels.
-
-    Raises :class:`~mobilabel.errors.EmptyMask` for an all-zero mask.
-    """
-    mask = _check_mask(mask)
-    return PreparedMask.from_bits(mask, 0, 0, mask.shape).box

@@ -2,10 +2,13 @@
 
 A frame is shrunk by a factor in (0, 1], anchored at the top-left, and
 padded back to its original size on the right and bottom, so downstream
-consumers never see a size change. Labels follow the same geometry:
-boxes scale linearly (exactly invertible), masks are resampled nearest
-neighbor. Inversion reconstructs each mask inside its inverted box, so
-a box-shaped mask survives the round trip exactly.
+consumers never see a size change. A :class:`ScaleTransform` is just that
+scale and the frame size; its content region and padding follow from one
+rounding rule, so no transform can disagree with itself. Labels follow the
+same geometry: boxes scale linearly (exactly invertible), masks are
+resampled nearest neighbor. Inversion reconstructs each mask inside its
+inverted box, sampling only the part of the box inside the frame, so a
+box-shaped mask survives the round trip exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, InstanceInPadding
-from .initlabel import InstanceLabel, LabelSet
+from .initlabel import LabelSet
 from .maskcore import BBox, PreparedMask
 
 __all__ = [
@@ -28,28 +31,35 @@ __all__ = [
 ]
 
 
+def _scaled_dim(dim: int, scale: float) -> int:
+    # round half down, between 1 and dim: 25.25 -> 25, 2.5 -> 2
+    return min(dim, max(1, math.ceil(dim * scale - 0.5)))
+
+
 @dataclass(frozen=True)
 class ScaleTransform:
-    """Shrink-to-top-left-and-pad geometry for one frame size."""
+    """Shrink-to-top-left-and-pad geometry for one frame size; build it
+    with :func:`make_transform`."""
 
     scale: float
-    pad_right: int
-    pad_bottom: int
     orig_height: int
     orig_width: int
 
     @property
     def content_height(self) -> int:
-        return self.orig_height - self.pad_bottom
+        return _scaled_dim(self.orig_height, self.scale)
 
     @property
     def content_width(self) -> int:
-        return self.orig_width - self.pad_right
+        return _scaled_dim(self.orig_width, self.scale)
 
+    @property
+    def pad_bottom(self) -> int:
+        return self.orig_height - self.content_height
 
-def _scaled_dim(dim: int, scale: float) -> int:
-    # round half down, floor of 1: 25.25 -> 25, 2.5 -> 2
-    return max(1, math.ceil(dim * scale - 0.5))
+    @property
+    def pad_right(self) -> int:
+        return self.orig_width - self.content_width
 
 
 def make_transform(orig_h: int, orig_w: int, scale: float) -> ScaleTransform:
@@ -58,15 +68,7 @@ def make_transform(orig_h: int, orig_w: int, scale: float) -> ScaleTransform:
         raise ValueError(f"scale must lie in (0, 1], got {scale}")
     if orig_h < 1 or orig_w < 1:
         raise ValueError(f"frame dimensions must be positive, got {orig_h}x{orig_w}")
-    content_h = _scaled_dim(orig_h, scale)
-    content_w = _scaled_dim(orig_w, scale)
-    return ScaleTransform(
-        scale=float(scale),
-        pad_right=orig_w - content_w,
-        pad_bottom=orig_h - content_h,
-        orig_height=orig_h,
-        orig_width=orig_w,
-    )
+    return ScaleTransform(scale=float(scale), orig_height=orig_h, orig_width=orig_w)
 
 
 def _nn_rows_cols(t: ScaleTransform):
@@ -121,12 +123,21 @@ def transform_labels(labels: LabelSet, t: ScaleTransform) -> LabelSet:
     return LabelSet(labels.frame_id, labels.height, labels.width, out)
 
 
-def _nn_resize(crop: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Center-aligned nearest-neighbor resize of a 2D bool array."""
-    in_h, in_w = crop.shape
-    r = np.minimum(((np.arange(out_h) + 0.5) * in_h / out_h).astype(np.int64), in_h - 1)
-    c = np.minimum(((np.arange(out_w) + 0.5) * in_w / out_w).astype(np.int64), in_w - 1)
-    return crop[np.ix_(r, c)]
+def _paste_axis(start: float, size: float, frame: int, n_in: int):
+    """One axis of the paste into an inverted box that covers the pixels
+    round(start) .. round(start) + max(1, round(size)) - 1, onto which n_in
+    mask pixels are resized center-aligned nearest neighbor. Returns the
+    first frame pixel the box covers and the source pixel of each covered
+    frame pixel, or None when the box misses the frame. Rounding and
+    clipping stay in float, so an edge at infinity is never made an int."""
+    a = round(start, 0)
+    n = max(1.0, round(size, 0))
+    lo, hi = max(a, 0.0), min(a + n, float(frame))
+    if not lo < hi:  # also false for NaN
+        return None
+    k = (lo - a) + np.arange(int(hi) - int(lo))
+    # clipped before the cast: a quotient that overflows samples the last pixel
+    return int(lo), np.fmin((k + 0.5) * n_in / n, n_in - 1).astype(np.int64)
 
 
 def invert_labels(labels: LabelSet, t: ScaleTransform) -> LabelSet:
@@ -135,8 +146,12 @@ def invert_labels(labels: LabelSet, t: ScaleTransform) -> LabelSet:
     Boxes divide by the scale. Each mask is cropped to its own foreground,
     resized into the rasterization of the inverted box, and pasted there;
     anchoring the reconstruction on the exactly-recovered box avoids the
-    block misalignment a frame-aligned upsample would introduce. Instances
-    with any foreground in the pad region raise; empty ones are dropped.
+    block misalignment a frame-aligned upsample would introduce. Only the
+    part of the box inside the frame is sampled, so memory is bounded by
+    the frame whatever the box. A far edge beyond the frame, even at
+    infinity, is clipped like any overhang; a box whose near edge lies
+    beyond the frame misses it and is dropped. Instances with any
+    foreground in the pad region raise; empty ones are dropped.
     """
     if (labels.height, labels.width) != (t.orig_height, t.orig_width):
         raise DimensionMismatch(
@@ -145,28 +160,24 @@ def invert_labels(labels: LabelSet, t: ScaleTransform) -> LabelSet:
         )
     if t.scale == 1.0:
         return LabelSet(labels.frame_id, labels.height, labels.width, list(labels.instances))
+    content_h, content_w = t.content_height, t.content_width
     out = []
     for inst in labels.instances:
         fg = PreparedMask(inst.mask)
         if not fg.area:
             continue
-        crop = fg.bits
-        if fg.col + crop.shape[1] > t.content_width or fg.row + crop.shape[0] > t.content_height:
+        in_h, in_w = fg.bits.shape
+        if fg.col + in_w > content_w or fg.row + in_h > content_h:
             raise InstanceInPadding(
                 f"instance {inst.instance_id} extends into the padding of frame {labels.frame_id!r}"
             )
         box = _scale_box(inst.box, 1.0 / t.scale)
-        # integer paste region from the inverted box
-        r0 = int(round(box.y))
-        c0 = int(round(box.x))
-        nrows = max(1, int(round(box.h)))
-        ncols = max(1, int(round(box.w)))
-        rr0, cc0 = max(r0, 0), max(c0, 0)
-        rr1, cc1 = min(r0 + nrows, t.orig_height), min(c0 + ncols, t.orig_width)
-        if rr1 <= rr0 or cc1 <= cc0:
+        rows = _paste_axis(box.y, box.h, t.orig_height, in_h)
+        cols = _paste_axis(box.x, box.w, t.orig_width, in_w)
+        if rows is None or cols is None:
             continue
-        resized = _nn_resize(crop, nrows, ncols)
-        big = PreparedMask.from_bits(resized[rr0 - r0: rr1 - r0, cc0 - c0: cc1 - c0], rr0, cc0, fg.shape)
+        (r0, r), (c0, c) = rows, cols
+        big = PreparedMask.from_bits(fg.bits[np.ix_(r, c)], r0, c0, fg.shape)
         if not big.area:
             continue
         out.append(replace(inst, mask=big.rle(), box=box))

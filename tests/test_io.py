@@ -422,6 +422,35 @@ def test_transform_validation(tmp_path):
         read_transform(p)
 
 
+@given(st.integers(1, 5000), st.integers(1, 5000), st.floats(0, 1, exclude_min=True))
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_transform_file_holds_only_the_derived_padding(tmp_path, h, w, scale):
+    p = tmp_path / "t.json"
+    t = make_transform(h, w, scale)
+    write_transform(p, t)
+    assert read_transform(p) == t
+    doc = json.loads(p.read_text())
+    for key in ("pad_right", "pad_bottom"):
+        for delta in (-1, 1):
+            p.write_text(json.dumps({**doc, key: doc[key] + delta}))
+            with pytest.raises(SchemaViolation) as exc:
+                read_transform(p)
+            assert exc.value.field_path == f"$.{key}"
+
+
+@pytest.mark.parametrize("doc", [
+    # padding of an 8x8 frame at scale 1: the true content region at 0.25 is 2x2
+    {"scale": 0.25, "pad_right": 0, "pad_bottom": 0, "orig_height": 8, "orig_width": 8},
+    # a 400-digit size, beyond the float range
+    {"scale": 0.25, "pad_right": 0, "pad_bottom": 0, "orig_height": 10**399, "orig_width": 8},
+])
+def test_transform_file_refused_typed(tmp_path, doc):
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SchemaViolation):
+        read_transform(p)
+
+
 # -- dataset layout ----------------------------------------------------------------
 
 def test_dataset_layout_validate(tmp_path):

@@ -13,12 +13,10 @@ from mobilabel.maskcore import (
     BBox,
     PreparedMask,
     Rle,
-    bbox_of,
     box_iou,
     coverage,
     intersection,
     iou,
-    mask_area,
     rle_decode,
     rle_encode,
 )
@@ -26,6 +24,10 @@ from mobilabel.maskcore import (
 from oracles import components_ref, coverage_ref, iou_ref, rle_counts_ref, rle_expand_ref
 
 masks = arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12)))
+
+
+def prepared(m):
+    return PreparedMask.from_bits(m, 0, 0, m.shape)
 
 
 def mask_from_pixels(h, w, pixels):
@@ -337,7 +339,7 @@ def test_decoder_matches_run_expansion_on_random_counts(case):
 @settings(max_examples=60)
 def test_components_match_reference(m):
     # the depth-blind 2D baseline: DBSCAN over flat points, 8-neighbors only
-    pts = np.column_stack([*np.nonzero(m), np.zeros((mask_area(m), 3))])
+    pts = np.column_stack([*np.nonzero(m), np.zeros((np.count_nonzero(m), 3))])
     got = dbscan_partition(pts, DbscanParams(min_pts=1, pixel_window=3), m.shape)
     ref = components_ref(m, connectivity=8)
     assert len(got) == len(ref)
@@ -349,29 +351,29 @@ def test_components_match_reference(m):
 
 def test_bbox_single_pixel():
     m = mask_from_pixels(6, 8, [(3, 5)])
-    assert bbox_of(m) == BBox(x=5, y=3, w=1, h=1)
+    assert prepared(m).box == BBox(x=5, y=3, w=1, h=1)
 
 
 def test_bbox_full_frame():
-    assert bbox_of(np.ones((4, 7), dtype=bool)) == BBox(0, 0, 7, 4)
+    assert prepared(np.ones((4, 7), dtype=bool)).box == BBox(0, 0, 7, 4)
 
 
 def test_bbox_l_shape():
     pix = [(r, 1) for r in range(2, 8)] + [(7, c) for c in range(1, 5)]
     m = mask_from_pixels(10, 10, pix)
-    assert bbox_of(m) == BBox(x=1, y=2, w=4, h=6)
+    assert prepared(m).box == BBox(x=1, y=2, w=4, h=6)
 
 
 def test_bbox_empty_mask():
     with pytest.raises(EmptyMask):
-        bbox_of(np.zeros((2, 2), dtype=bool))
+        prepared(np.zeros((2, 2), dtype=bool)).box
 
 
 @given(masks)
 def test_bbox_contains_and_touches(m):
     if not m.any():
         return
-    b = bbox_of(m)
+    b = prepared(m).box
     rows, cols = np.nonzero(m)
     assert rows.min() == b.y and cols.min() == b.x
     assert rows.max() == b.y + b.h - 1

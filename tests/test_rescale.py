@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +155,86 @@ def test_invert_rejects_instance_in_padding():
     inst = rect_label(40, 40, 25, 25, 8, 8)  # entirely in pad region
     with pytest.raises(InstanceInPadding):
         invert_labels(LabelSet("f", 40, 40, [inst]), t)
+
+
+def invert_whole_box(inst, t, shape):
+    """Reference: resize the mask into its whole inverted box, then keep the
+    part inside the frame; None when the box misses the frame."""
+    fg = PreparedMask(inst.mask)
+    inv = 1.0 / t.scale
+    y, x, h, w = inst.box.y * inv, inst.box.x * inv, inst.box.h * inv, inst.box.w * inv
+    r0, c0 = int(round(y)), int(round(x))
+    nrows, ncols = max(1, int(round(h))), max(1, int(round(w)))
+    in_h, in_w = fg.bits.shape
+    r = np.minimum(((np.arange(nrows) + 0.5) * in_h / nrows).astype(np.int64), in_h - 1)
+    c = np.minimum(((np.arange(ncols) + 0.5) * in_w / ncols).astype(np.int64), in_w - 1)
+    resized = fg.bits[np.ix_(r, c)]
+    rr0, cc0 = max(r0, 0), max(c0, 0)
+    rr1, cc1 = min(r0 + nrows, shape[0]), min(c0 + ncols, shape[1])
+    if rr1 <= rr0 or cc1 <= cc0:
+        return None
+    out = np.zeros(shape, dtype=bool)
+    out[rr0:rr1, cc0:cc1] = resized[rr0 - r0: rr1 - r0, cc0 - c0: cc1 - c0]
+    return out
+
+
+def test_invert_matches_whole_box_resize():
+    # boxes up to 3x the frame, overhanging on every side, with half-pixel ties
+    rng = np.random.default_rng(21)
+    H, W = 24, 40
+    for i in range(400):
+        scale = float(rng.choice([0.25, 0.5, 0.3, 0.75]))
+        t = make_transform(H, W, scale)
+        ch, cw = t.content_height, t.content_width
+        bh, bw = int(rng.integers(1, ch + 1)), int(rng.integers(1, cw + 1))
+        r, c = int(rng.integers(0, ch - bh + 1)), int(rng.integers(0, cw - bw + 1))
+        m = np.zeros((H, W), dtype=bool)
+        m[r:r + bh, c:c + bw] = rng.random((bh, bw)) < 0.6
+        if not m.any():
+            continue
+        y, x = (rng.uniform(-1, 1, 2) * (H * scale, W * scale) * 8).round() / 8
+        h, w = (rng.uniform(0, rng.choice([1, 3]), 2) * (H * scale, W * scale) * 8).round() / 8
+        inst = InstanceLabel(mask=rle_encode(m), box=BBox(x, y, w, h), score=0.5, instance_id=i)
+        got = invert_labels(LabelSet("f", H, W, [inst]), t).instances
+        ref = invert_whole_box(inst, t, (H, W))
+        if ref is None or not ref.any():
+            assert got == []
+        else:
+            (g,) = got
+            assert np.array_equal(PreparedMask(g.mask).frame(), ref)
+            assert g.box == BBox(x * (1.0 / scale), y * (1.0 / scale), w * (1.0 / scale), h * (1.0 / scale))
+
+
+def corner_pixel(box):
+    """One foreground pixel at the top-left of an 8x8 frame, with a given box."""
+    m = np.zeros((8, 8), dtype=bool)
+    m[0, 0] = True
+    return InstanceLabel(mask=rle_encode(m), box=box, score=1.0, instance_id=0)
+
+
+@pytest.mark.parametrize("side", [2000, 10**7])
+def test_invert_memory_is_bounded_by_the_frame(side):
+    t = make_transform(8, 8, 0.25)
+    inst = corner_pixel(BBox(0, 0, side * 0.25, side * 0.25))
+    tracemalloc.start()
+    try:
+        (back,) = invert_labels(LabelSet("f", 8, 8, [inst]), t).instances
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"{peak / 1e6:.1f} MB"
+    assert PreparedMask(back.mask).area == 64  # the whole frame, sampled from one pixel
+
+
+def test_invert_box_beyond_float_range():
+    t = make_transform(8, 8, 0.25)
+    # a far edge at infinity is clipped to the frame like any overhang
+    tall = LabelSet("f", 8, 8, [corner_pixel(BBox(0, 0, 1, 1e308))])
+    (back,) = invert_labels(tall, t).instances
+    assert PreparedMask(back.mask).box == BBox(0, 0, 4, 8)
+    # a near edge at infinity misses the frame
+    far = LabelSet("f", 8, 8, [corner_pixel(BBox(1e308, 0, 1, 1))])
+    assert invert_labels(far, t).instances == []
 
 
 def test_round_trip_rectangles_exact():
