@@ -45,12 +45,10 @@ import numpy as np
 
 from .aggregate import AggParams, mask_agg, nms
 from .errors import FrameMismatch, MissingPredictions, MobilabelError
-from .initlabel import DbscanParams, LabelSet, _level_cut, _moving_labels, make_initial_labels
+from .initlabel import DbscanParams, LabelSet, make_initial_labels
 from .io import (
     DatasetLayout,
     _dump_json,
-    _read_pgm,
-    atomic_write_bytes,
     read_depth,
     read_frame_labels,
     read_intrinsics,
@@ -147,12 +145,8 @@ def cmd_synth(args) -> int:
 # -- init-labels --------------------------------------------------------------------
 
 def _init_frame(fid, layout, out, k, params, motion_threshold, min_area):
-    # make_initial_labels on the stored levels, cut where binarize_motion
-    # would cut their probabilities; unproject refuses rasters whose shapes
-    # differ with make_initial_labels' DimensionMismatch
-    depth = read_depth(layout.depth_path(fid))
-    levels = _read_pgm(layout.motion_path(fid))
-    ls = _moving_labels(depth, levels >= _level_cut(motion_threshold), k, params, min_area, fid)
+    ls = make_initial_labels(read_depth(layout.depth_path(fid)), read_motion(layout.motion_path(fid)),
+                             k, params, motion_threshold, min_area, fid)
     write_labels(out / f"{fid}.json", ls)
     return len(ls.instances)
 
@@ -315,7 +309,7 @@ def cmd_eval(args) -> int:
         report_path = Path(args.json)
         report_path.parent.mkdir(parents=True, exist_ok=True)
         fields = {k: v for k, v in dataclasses.asdict(report).items() if v is not None}
-        atomic_write_bytes(report_path, _dump_json(fields))
+        _dump_json(report_path, fields)
     line = (f"eval: AR {report.ar:.4f} AP {report.ap:.4f}"
             f" (S {report.ar_by_size['S']:.4f}"
             f" M {report.ar_by_size['M']:.4f}"
@@ -397,7 +391,7 @@ def _checked(cast, ok, what: str):
 
 _COUNT = _checked(int, lambda v: v >= 1, "must be at least 1")
 _UNIT = _checked(float, lambda v: 0 <= v <= 1, "must lie in [0, 1]")
-_SCALE = _checked(float, lambda v: 0 < v <= 1, "must lie in (0, 1]")
+_SCALE = _checked(float, lambda v: 0 < v <= 1 and np.isfinite(1 / v), "must lie in (0, 1] with a finite reciprocal")
 _AREA = _checked(int, lambda v: v >= 0, "must be at least 0")
 
 

@@ -88,7 +88,8 @@ class TruncatedFile(FormatError):
 
 
 class NonFiniteValue(FormatError):
-    """A raster file contains NaN or infinity."""
+    """NaN or infinity where a format allows only finite numbers: in a
+    raster file read, or in a raster or structured-text file to be written."""
 
 
 class SchemaViolation(FormatError):

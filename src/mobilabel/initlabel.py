@@ -1,7 +1,7 @@
 """Initial pseudo-labels from motion and depth.
 
 The entry point is :func:`make_initial_labels`: binarize a motion
-probability raster, lift every moving pixel to a pseudo 3D point through
+raster, lift every moving pixel to a pseudo 3D point through
 the camera intrinsics, cluster the points with a depth-aware DBSCAN, and
 rasterize each cluster back into a scored instance mask. Clustering in 3D
 rather than on the 2D motion blob separates objects that overlap in image
@@ -122,20 +122,24 @@ class LabelSet:
 
 
 def binarize_motion(motion: np.ndarray, threshold: float) -> np.ndarray:
-    """Foreground where motion probability >= threshold (inclusive)."""
-    motion = np.asarray(motion, dtype=np.float64)
+    """Foreground where motion probability >= threshold (inclusive). A uint8
+    raster holds a motion file's levels L, each the probability L / 255,
+    and is cut at :func:`_level_cut`."""
+    motion = np.asarray(motion)
     if motion.ndim != 2:
         raise ValueError(f"motion mask must be 2D, got shape {motion.shape}")
+    if motion.dtype == np.uint8:
+        return motion >= _level_cut(threshold)
+    motion = motion.astype(np.float64, copy=False)
     if not np.isfinite(motion).all() or motion.min() < 0 or motion.max() > 1:
         raise ValueError("motion probabilities must be finite and lie in [0, 1]")
     return motion >= threshold
 
 
 def _level_cut(threshold) -> int:
-    """The smallest 8-bit motion level L with L / 255.0 >= threshold, or 256
-    when there is none, so ``levels >= _level_cut(t)`` equals
-    ``binarize_motion(levels / 255.0, t)`` for uint8 levels, every one of
-    which is a probability in [0, 1]."""
+    """The smallest 8-bit level L with L / 255.0 >= threshold, or 256 when
+    there is none, so ``levels >= _level_cut(t)`` selects what
+    ``levels / 255.0 >= t`` selects."""
     return 256 - int(np.count_nonzero(np.arange(256, dtype=np.float64) / 255.0 >= threshold))
 
 
@@ -315,21 +319,15 @@ def make_initial_labels(depth: np.ndarray, motion: np.ndarray, k: CameraIntrinsi
                         min_area: int = 16, frame_id: str = "") -> LabelSet:
     """End-to-end initial pseudo-labels for one frame.
 
+    ``motion`` holds uint8 levels or probabilities (see :func:`binarize_motion`).
     Clusters below min_area pixels are dropped. Every surviving instance
-    gets score 1.0 and a sequential id starting at 0. ``init-labels`` cuts
-    the stored 8-bit motion levels instead of binarizing probabilities, by
-    a rule that selects the same pixels, so its labels equal these.
+    gets score 1.0 and a sequential id starting at 0.
     """
     motion = np.asarray(motion)
     depth = np.asarray(depth)
     if depth.shape != motion.shape:
         raise DimensionMismatch(f"depth {depth.shape} vs motion {motion.shape}")
-    return _moving_labels(depth, binarize_motion(motion, motion_threshold), k, params,
-                          min_area, frame_id)
-
-
-def _moving_labels(depth, moving, k, params, min_area, frame_id) -> LabelSet:
-    """:func:`make_initial_labels` from its bool ``moving`` mask on."""
+    moving = binarize_motion(motion, motion_threshold)
     points = unproject(depth, k, moving)
     instances = []
     for m in _clusters(points, params, moving.shape):

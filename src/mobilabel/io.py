@@ -115,7 +115,7 @@ def read_depth(path) -> np.ndarray:
     return values.astype(np.float32, copy=False)
 
 
-# -- motion: 8-bit binary PGM, probability = value / 255 -------------------
+# -- motion: 8-bit binary PGM, probability = level / 255 -------------------
 
 _WS = b" \t\n\r\x0b\x0c"
 
@@ -137,20 +137,24 @@ def _pgm_token(data: bytes, pos: int, path) -> tuple[int, int]:
         raise BadHeader(f"{path}: header token of {len(token)} digits") from None
 
 
-def write_motion(path, prob: np.ndarray) -> None:
-    prob = np.asarray(prob, dtype=np.float64)
-    if prob.ndim != 2:
-        raise ValueError(f"motion mask must be 2D, got shape {prob.shape}")
-    if not np.isfinite(prob).all() or prob.min() < 0 or prob.max() > 1:
-        raise ValueError("motion probabilities must be finite and lie in [0, 1]")
-    h, w = prob.shape
-    payload = np.round(prob * 255.0).astype(np.uint8).tobytes(order="C")
-    atomic_write_bytes(path, f"P5\n{w} {h}\n255\n".encode("ascii") + payload)
+def write_motion(path, motion: np.ndarray) -> None:
+    """Write uint8 levels, as :func:`read_motion` returns them, unchanged, and
+    any other raster as probabilities in [0, 1], stored as round(p * 255)."""
+    motion = np.asarray(motion)
+    if motion.ndim != 2:
+        raise ValueError(f"motion mask must be 2D, got shape {motion.shape}")
+    if motion.dtype != np.uint8:
+        motion = motion.astype(np.float64, copy=False)
+        if not np.isfinite(motion).all() or motion.min() < 0 or motion.max() > 1:
+            raise ValueError("motion probabilities must be finite and lie in [0, 1]")
+        motion = np.round(motion * 255.0).astype(np.uint8)
+    h, w = motion.shape
+    atomic_write_bytes(path, f"P5\n{w} {h}\n255\n".encode("ascii") + motion.tobytes(order="C"))
 
 
-def _read_pgm(path) -> np.ndarray:
-    """The uint8 (h, w) levels of an 8-bit binary PGM: a read-only view of
-    the file's bytes, after every header check."""
+def read_motion(path) -> np.ndarray:
+    """The uint8 (h, w) levels of a motion file: a read-only view of its
+    bytes, after every header check."""
     data = Path(path).read_bytes()
     if len(data) < 2:
         raise TruncatedFile(f"{path}: {len(data)} bytes")
@@ -174,18 +178,16 @@ def _read_pgm(path) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8, offset=pos).reshape(h, w)
 
 
-def read_motion(path) -> np.ndarray:
-    """Motion probabilities, level / 255, as float64. ``init-labels`` cuts
-    the stored 8-bit levels instead, by the rule that gives the same
-    moving pixels as :func:`mobilabel.initlabel.binarize_motion` on these
-    values."""
-    return _read_pgm(path).astype(np.float64) / 255.0
-
-
 # -- structured-text helpers ------------------------------------------------
 
-def _dump_json(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("ascii")
+def _dump_json(path, obj) -> None:
+    """Write ``obj`` as sorted, indented JSON text; NaN or infinity, which
+    JSON lacks, is NonFiniteValue before any byte is written."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise NonFiniteValue(f"{path}: NaN or infinity, which the format cannot hold") from None
+    atomic_write_bytes(path, (text + "\n").encode("ascii"))
 
 
 def _load_json(path):
@@ -256,7 +258,7 @@ def write_labels(path, labels: LabelSet) -> None:
         "width": labels.width,
         "instances": instances,
     }
-    atomic_write_bytes(path, _dump_json(doc))
+    _dump_json(path, doc)
 
 
 def read_labels(path) -> LabelSet:
@@ -332,8 +334,7 @@ def read_frame_labels(path, frame_id: str) -> LabelSet:
 # -- intrinsics / transform ---------------------------------------------------
 
 def write_intrinsics(path, k: CameraIntrinsics) -> None:
-    atomic_write_bytes(path, _dump_json(
-        {"fx": float(k.fx), "fy": float(k.fy), "cx": float(k.cx), "cy": float(k.cy)}))
+    _dump_json(path, {"fx": float(k.fx), "fy": float(k.fy), "cx": float(k.cx), "cy": float(k.cy)})
 
 
 def read_intrinsics(path) -> CameraIntrinsics:
@@ -348,13 +349,13 @@ def read_intrinsics(path) -> CameraIntrinsics:
 
 
 def write_transform(path, t: ScaleTransform) -> None:
-    atomic_write_bytes(path, _dump_json({
+    _dump_json(path, {
         "scale": float(t.scale),
         "pad_right": t.pad_right,
         "pad_bottom": t.pad_bottom,
         "orig_height": t.orig_height,
         "orig_width": t.orig_width,
-    }))
+    })
 
 
 def read_transform(path) -> ScaleTransform:

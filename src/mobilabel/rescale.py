@@ -63,9 +63,10 @@ class ScaleTransform:
 
 
 def make_transform(orig_h: int, orig_w: int, scale: float) -> ScaleTransform:
-    """Build the transform for a frame size; scale must be in (0, 1]."""
-    if not (0 < scale <= 1):
-        raise ValueError(f"scale must lie in (0, 1], got {scale}")
+    """Build the transform for a frame size; scale must lie in (0, 1], and
+    its reciprocal, by which :func:`invert_labels` scales, must be finite."""
+    if not (0 < scale <= 1) or math.isinf(1.0 / float(scale)):
+        raise ValueError(f"scale must lie in (0, 1] with a finite reciprocal, got {scale}")
     if orig_h < 1 or orig_w < 1:
         raise ValueError(f"frame dimensions must be positive, got {orig_h}x{orig_w}")
     return ScaleTransform(scale=float(scale), orig_height=orig_h, orig_width=orig_w)

@@ -43,7 +43,7 @@ from .errors import (
     UnsafeFrameId,
 )
 from .initlabel import LabelSet, make_initial_labels
-from .io import _dump_json, _load_json, _want, atomic_write_bytes, read_frame_labels, read_transform, write_labels, write_transform
+from .io import _dump_json, _load_json, _want, read_frame_labels, read_transform, write_labels, write_transform
 from .maskcore import PreparedMask, iou
 from .rescale import ScaleTransform, make_transform, invert_labels
 
@@ -255,7 +255,7 @@ class DetectorExchange:
     def write_manifest(self, frame_ids: list[str], cfg: RoundConfig) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
         payload = {"frame_ids": list(frame_ids), "config": cfg.to_dict()}
-        atomic_write_bytes(self.manifest_path, _dump_json(payload))
+        _dump_json(self.manifest_path, payload)
 
     def read_manifest(self):
         d = _load_json(self.manifest_path)

@@ -14,7 +14,7 @@ import mobilabel.cli
 import mobilabel.io
 from mobilabel.aggregate import AggParams
 from mobilabel.cli import _from_flags, _with_config, build_parser, main
-from mobilabel.initlabel import DbscanParams, make_initial_labels
+from mobilabel.initlabel import DbscanParams, InstanceLabel, LabelSet, make_initial_labels
 from mobilabel.io import (
     DatasetLayout,
     read_depth,
@@ -23,9 +23,11 @@ from mobilabel.io import (
     read_motion,
     write_labels,
     write_motion,
+    write_transform,
 )
-from mobilabel.maskcore import PreparedMask, iou
+from mobilabel.maskcore import BBox, PreparedMask, iou
 from mobilabel.metrics import EvalConfig
+from mobilabel.rescale import make_transform
 from mobilabel.rounds import default_config_snapshot, default_stages, gt_overlap_filter
 from mobilabel.synthgen import DetectorNoise, SceneSpec
 
@@ -152,6 +154,7 @@ def test_internal_validation_is_usage_error(tmp_path, capsys):
     ["pipeline", "--l0", "EMPTY", "--exchange", "EMPTY", "--l2s-confs", 0.9, 1.5],
     ["pipeline", "--l0", "EMPTY", "--exchange", "EMPTY", "--l2s-scales", 1.0, 0],
     ["pipeline", "--l0", "EMPTY", "--exchange", "EMPTY", "--jitter", 0.5, 1.5],
+    ["rescale", "--labels", "EMPTY", "--scale", 5e-324],  # 1 / scale overflows
 ])
 def test_out_of_range_value_is_usage_error_without_frames(tmp_path, capsys, argv):
     empty = tmp_path / "empty"
@@ -225,7 +228,7 @@ def test_init_labels_finds_moving_objects(dataset, tmp_path, capsys):
 
 
 def test_init_labels_reads_each_raster_once(dataset, tmp_path, monkeypatch):
-    calls = {"read_depth": [], "_read_pgm": []}  # every motion read goes through _read_pgm
+    calls = {"read_depth": [], "read_motion": []}
 
     def counting(name, read):
         def counted(path):
@@ -238,7 +241,7 @@ def test_init_labels_reads_each_raster_once(dataset, tmp_path, monkeypatch):
         for module in (mobilabel.io, mobilabel.cli):
             monkeypatch.setattr(module, name, counted)
     assert run("init-labels", "--data", dataset, "--out", tmp_path / "l0") == 0
-    assert {name: len(paths) for name, paths in calls.items()} == {"read_depth": 3, "_read_pgm": 3}
+    assert {name: len(paths) for name, paths in calls.items()} == {"read_depth": 3, "read_motion": 3}
 
 
 @pytest.mark.parametrize("threshold", [0.0, 0.1, 26 / 255, 1.0])
@@ -250,7 +253,8 @@ def test_init_labels_writes_what_make_initial_labels_gives(tmp_path, threshold):
     layout = DatasetLayout(root)
     k = read_intrinsics(layout.intrinsics_path)
     for fid in layout.frame_ids():
-        labels = make_initial_labels(read_depth(layout.depth_path(fid)), read_motion(layout.motion_path(fid)),
+        motion = read_motion(layout.motion_path(fid)) / 255.0  # probabilities, not the levels the CLI cuts
+        labels = make_initial_labels(read_depth(layout.depth_path(fid)), motion,
                                      k, DbscanParams(), motion_threshold=threshold, frame_id=fid)
         write_labels(tmp_path / "want.json", labels)
         assert (tmp_path / "l0" / f"{fid}.json").read_bytes() == (tmp_path / "want.json").read_bytes()
@@ -285,6 +289,19 @@ def test_rescale_round_trip(dataset, tmp_path):
 def test_rescale_invert_rejects_rasters(dataset, tmp_path):
     assert run("rescale", "--labels", dataset / "labels", "--out", tmp_path / "o",
                "--invert", "--depth", dataset / "depth") == 2
+
+
+def test_rescale_invert_refuses_to_write_an_infinite_box(tmp_path, capsys):
+    labels, transforms, out = tmp_path / "labels", tmp_path / "transforms", tmp_path / "o"
+    labels.mkdir()
+    transforms.mkdir()
+    pixel = PreparedMask.from_bits(np.ones((1, 1), bool), 0, 0, (8, 8)).rle()
+    write_labels(labels / "000000.json", LabelSet("000000", 8, 8, [
+        InstanceLabel(mask=pixel, box=BBox(0.0, 0.0, 1.0, 1e308), score=1.0, instance_id=0)]))
+    write_transform(transforms / "000000.json", make_transform(8, 8, 0.25))
+    assert run("rescale", "--labels", labels, "--out", out, "--invert", "--transforms", transforms) == 2
+    assert "NaN or infinity" in capsys.readouterr().err
+    assert list((out / "labels").iterdir()) == []
 
 
 # -- aggregate + filter -------------------------------------------------------

@@ -19,7 +19,7 @@ from mobilabel.initlabel import (
     project,
     unproject,
 )
-from mobilabel.io import _read_pgm, read_motion, write_motion
+from mobilabel.io import read_motion, write_motion
 from mobilabel.maskcore import PreparedMask, rle_decode, rle_encode
 
 from oracles import dbscan_ref
@@ -51,18 +51,29 @@ def test_binarize_rejects_bad_probabilities():
         binarize_motion(np.array([[1.5]]), 0.1)
     with pytest.raises(ValueError):
         binarize_motion(np.array([[np.nan]]), 0.1)
+    with pytest.raises(ValueError):
+        binarize_motion(np.zeros(4, dtype=np.uint8), 0.1)
+
+
+_CUTS = np.arange(256) / 255.0
+# every level's probability, the floats either side of it, and no cut at all
+_THRESHOLDS = [0.0, 1.0, np.nan, *_CUTS, *np.nextafter(_CUTS, -np.inf), *np.nextafter(_CUTS, np.inf)]
 
 
 def test_level_cut_selects_what_binarize_motion_selects(tmp_path):
     p = tmp_path / "m.pgm"
     write_motion(p, np.arange(256).reshape(16, 16) / 255.0)
-    levels = _read_pgm(p)
+    levels = read_motion(p)
     assert np.array_equal(levels.ravel(), np.arange(256))
-    motion = read_motion(p)
-    cuts = np.arange(256) / 255.0
-    thresholds = [0.0, 1.0, np.nan, *cuts, *np.nextafter(cuts, -np.inf), *np.nextafter(cuts, np.inf)]
-    for t in thresholds:
+    motion = levels / 255.0
+    for t in _THRESHOLDS:
         assert np.array_equal(levels >= _level_cut(t), binarize_motion(motion, t)), t
+
+
+def test_binarize_motion_cuts_levels_as_their_probabilities():
+    levels = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    for t in _THRESHOLDS:
+        assert np.array_equal(binarize_motion(levels, t), binarize_motion(levels / 255.0, t)), t
 
 
 # -- unproject ---------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 import tracemalloc
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from mobilabel.errors import (
     BadHeader,
@@ -169,7 +171,7 @@ def test_motion_quantization_round_trip(tmp_path):
     p = tmp_path / "m.pgm"
     prob = np.array([[1.0, 25 / 255, 26 / 255, 0.0]])
     write_motion(p, prob)
-    back = read_motion(p)
+    back = read_motion(p) / 255.0
     assert back[0, 0] == 1.0
     assert back[0, 1] == pytest.approx(0.098, abs=1e-3)
     assert back[0, 1] < 0.1 <= back[0, 2]  # straddles the default threshold
@@ -181,7 +183,7 @@ def test_motion_arbitrary_values_quantize_to_1_255(tmp_path):
     rng = np.random.default_rng(2)
     prob = rng.random((5, 7))
     write_motion(p, prob)
-    assert np.abs(read_motion(p) - prob).max() <= 0.5 / 255 + 1e-12
+    assert np.abs(read_motion(p) / 255.0 - prob).max() <= 0.5 / 255 + 1e-12
 
 
 def test_motion_header_errors(tmp_path):
@@ -219,12 +221,40 @@ def test_motion_writer_rejects_bad_probabilities(tmp_path):
         write_motion(tmp_path / "m.pgm", np.array([[1.2]]))
 
 
+@given(arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, max_side=12)))
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_motion_writer_stores_uint8_levels_byte_for_byte(tmp_path, levels):
+    p = tmp_path / "m.pgm"
+    write_motion(p, levels)
+    h, w = levels.shape
+    assert p.read_bytes() == f"P5\n{w} {h}\n255\n".encode("ascii") + levels.tobytes()
+    back = read_motion(p)
+    assert back.dtype == np.uint8 and not back.flags.writeable
+    assert np.array_equal(back, levels)
+
+
 def test_motion_writer_deterministic(tmp_path):
     prob = np.random.default_rng(0).random((4, 4))
     a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
     write_motion(a, prob)
     write_motion(b, prob.copy())
     assert a.read_bytes() == b.read_bytes()
+
+
+# -- structured text ------------------------------------------------------------
+
+@pytest.mark.parametrize("write, value", [
+    (write_intrinsics, CameraIntrinsics(fx=math.inf, fy=1.0, cx=0.0, cy=0.0)),
+    (write_intrinsics, CameraIntrinsics(fx=1.0, fy=1.0, cx=math.nan, cy=0.0)),
+    (write_labels, LabelSet("f", 2, 2, [InstanceLabel(
+        mask=PreparedMask.from_bits(np.ones((2, 2), bool), 0, 0, (2, 2)).rle(),
+        box=BBox(0.0, 0.0, 2.0, math.inf), score=1.0, instance_id=0)])),
+], ids=["intrinsics-inf", "intrinsics-nan", "labels-inf"])
+def test_json_writers_refuse_non_finite_values(tmp_path, write, value):
+    p = tmp_path / "out.json"
+    with pytest.raises(NonFiniteValue, match="out.json"):
+        write(p, value)
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- labels -------------------------------------------------------------------
@@ -422,7 +452,8 @@ def test_transform_validation(tmp_path):
         read_transform(p)
 
 
-@given(st.integers(1, 5000), st.integers(1, 5000), st.floats(0, 1, exclude_min=True))
+@given(st.integers(1, 5000), st.integers(1, 5000),
+       st.floats(0, 1, exclude_min=True).filter(lambda s: 1 / s < math.inf))
 @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_transform_file_holds_only_the_derived_padding(tmp_path, h, w, scale):
     p = tmp_path / "t.json"
@@ -443,6 +474,8 @@ def test_transform_file_holds_only_the_derived_padding(tmp_path, h, w, scale):
     {"scale": 0.25, "pad_right": 0, "pad_bottom": 0, "orig_height": 8, "orig_width": 8},
     # a 400-digit size, beyond the float range
     {"scale": 0.25, "pad_right": 0, "pad_bottom": 0, "orig_height": 10**399, "orig_width": 8},
+    # a scale whose reciprocal, by which labels are mapped back, is infinite
+    {"scale": 5e-324, "pad_right": 7, "pad_bottom": 7, "orig_height": 8, "orig_width": 8},
 ])
 def test_transform_file_refused_typed(tmp_path, doc):
     p = tmp_path / "t.json"

@@ -47,6 +47,8 @@ def test_make_transform_rejects_bad_scale():
         make_transform(10, 10, 0.0)
     with pytest.raises(ValueError):
         make_transform(10, 10, 1.5)
+    with pytest.raises(ValueError):
+        make_transform(8, 8, 5e-324)  # 1 / scale overflows
 
 
 @given(st.integers(1, 300), st.integers(1, 300), st.floats(0.05, 1.0))

@@ -192,7 +192,7 @@ def test_outputs_pass_io_round_trip(tmp_path):
     write_intrinsics(tmp_path / "k.json", k)
     write_labels(tmp_path / "l.json", gt)
     assert np.array_equal(read_depth(tmp_path / "d.dpf1"), depth)
-    got = read_motion(tmp_path / "m.pgm")
+    got = read_motion(tmp_path / "m.pgm") / 255.0
     assert np.abs(got - motion).max() <= 0.5 / 255.0
     assert read_intrinsics(tmp_path / "k.json") == k
     assert read_labels(tmp_path / "l.json") == gt
