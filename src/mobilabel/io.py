@@ -10,6 +10,7 @@ typed error from :mod:`mobilabel.errors`, never an arbitrary exception.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -240,25 +241,63 @@ def _want(obj, key, kind, path):
 
 # -- labels -------------------------------------------------------------------
 
+def _int_field(value, field, path) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaViolation(field, f"{path}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _block(items, indent, brackets="[]") -> str:
+    """Encoded items as ``json.dumps(indent=2)`` lays out a list (or, with
+    ``"{}"``, an object), its items at ``indent`` spaces."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * indent
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
+
+
 def write_labels(path, labels: LabelSet) -> None:
-    instances = []
-    for inst in labels.instances:
-        entry = {
-            "id": inst.instance_id,
-            "score": float(inst.score),
-            "box": [float(inst.box.x), float(inst.box.y), float(inst.box.w), float(inst.box.h)],
-            "rle": {"size": [inst.mask.height, inst.mask.width], "counts": list(inst.mask.counts)},
-        }
+    """Write ``labels`` as exactly the text of ``json.dumps(doc,
+    sort_keys=True, indent=2)`` plus a newline, emitted directly for the
+    label schema so that no JSON encoder runs over the RLE counts.
+
+    Before any byte is written, NaN or infinity in a score or box raises
+    NonFiniteValue, and what :func:`read_labels` would refuse raises
+    SchemaViolation at the field it would name: a frame id that is not a
+    string; a height, width or id that is a ``bool`` or not an ``int``; a
+    frame that is empty or over ``MAX_LABEL_PIXELS``; a negative box size;
+    an attribute key that is not a string.
+    """
+    if not isinstance(labels.frame_id, str):
+        raise SchemaViolation("$.frame_id", f"{path}: expected a string, got {labels.frame_id!r}")
+    height = _int_field(labels.height, "$.height", path)
+    width = _int_field(labels.width, "$.width", path)
+    if height < 1 or width < 1 or height * width > MAX_LABEL_PIXELS:
+        raise SchemaViolation("$.height", f"{path}: frame {height}x{width} is empty or "
+                                          f"exceeds {MAX_LABEL_PIXELS} pixels")
+    size = _block((str(height), str(width)), 10)
+    entries = []
+    for i, inst in enumerate(labels.instances):
+        at = f"$.instances[{i}]"
+        iid = _int_field(inst.instance_id, f"{at}.id", path)
+        score, *box = map(float, (inst.score, inst.box.x, inst.box.y, inst.box.w, inst.box.h))
+        if not all(map(math.isfinite, (score, *box))):
+            raise NonFiniteValue(f"{path}: NaN or infinity, which the format cannot hold")
+        if box[2] < 0 or box[3] < 0:
+            raise SchemaViolation(f"{at}.box", f"{path}: negative box size in {box}")
+        attrs = ""
         if inst.attributes is not None:
-            entry["attributes"] = {k: bool(v) for k, v in sorted(inst.attributes.items())}
-        instances.append(entry)
-    doc = {
-        "frame_id": labels.frame_id,
-        "height": labels.height,
-        "width": labels.width,
-        "instances": instances,
-    }
-    _dump_json(path, doc)
+            if not all(isinstance(k, str) for k in inst.attributes):
+                raise SchemaViolation(f"{at}.attributes", f"{path}: attribute keys must be strings")
+            items = [f"{json.dumps(k)}: {'true' if v else 'false'}" for k, v in sorted(inst.attributes.items())]
+            attrs = f'"attributes": {_block(items, 8, "{}")},\n      '
+        entries.append(
+            f'{{\n      {attrs}"box": {_block(list(map(repr, box)), 8)},\n      "id": {iid},\n'
+            f'      "rle": {{\n        "counts": {_block(list(map(str, inst.mask.counts)), 10)},\n'
+            f'        "size": {size}\n      }},\n      "score": {score!r}\n    }}')
+    text = (f'{{\n  "frame_id": {json.dumps(labels.frame_id)},\n  "height": {height},\n'
+            f'  "instances": {_block(entries, 4)},\n  "width": {width}\n}}\n')
+    atomic_write_bytes(path, text.encode("ascii"))
 
 
 def read_labels(path) -> LabelSet:

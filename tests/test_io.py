@@ -35,7 +35,7 @@ from mobilabel.io import (
     write_motion,
     write_transform,
 )
-from mobilabel.maskcore import BBox, PreparedMask
+from mobilabel.maskcore import BBox, PreparedMask, Rle
 from mobilabel.rescale import make_transform
 
 from oracles import RefReject, label_counts_ref, read_depth_ref
@@ -249,7 +249,13 @@ def test_motion_writer_deterministic(tmp_path):
     (write_labels, LabelSet("f", 2, 2, [InstanceLabel(
         mask=PreparedMask.from_bits(np.ones((2, 2), bool), 0, 0, (2, 2)).rle(),
         box=BBox(0.0, 0.0, 2.0, math.inf), score=1.0, instance_id=0)])),
-], ids=["intrinsics-inf", "intrinsics-nan", "labels-inf"])
+    (write_labels, LabelSet("f", 2, 2, [InstanceLabel(
+        mask=PreparedMask.from_bits(np.ones((2, 2), bool), 0, 0, (2, 2)).rle(),
+        box=BBox(math.nan, 0.0, 2.0, 2.0), score=1.0, instance_id=0)])),
+    (write_labels, LabelSet("f", 2, 2, [InstanceLabel(
+        mask=PreparedMask.from_bits(np.ones((2, 2), bool), 0, 0, (2, 2)).rle(),
+        box=BBox(0.0, -math.inf, 2.0, 2.0), score=1.0, instance_id=0)])),
+], ids=["intrinsics-inf", "intrinsics-nan", "labels-inf", "labels-nan-box", "labels-neg-inf-box"])
 def test_json_writers_refuse_non_finite_values(tmp_path, write, value):
     p = tmp_path / "out.json"
     with pytest.raises(NonFiniteValue, match="out.json"):
@@ -273,6 +279,86 @@ def test_labels_writer_deterministic(tmp_path):
     write_labels(a, sample_labels())
     write_labels(b, sample_labels())
     assert a.read_bytes() == b.read_bytes()
+
+
+def _labels_text_ref(labels):
+    """The label file as the generic encoder wrote it: the schema's dict,
+    then ``json.dumps(sort_keys=True, indent=2)`` and a newline."""
+    instances = []
+    for inst in labels.instances:
+        entry = {
+            "id": inst.instance_id,
+            "score": float(inst.score),
+            "box": [float(inst.box.x), float(inst.box.y), float(inst.box.w), float(inst.box.h)],
+            "rle": {"size": [inst.mask.height, inst.mask.width], "counts": list(inst.mask.counts)},
+        }
+        if inst.attributes is not None:
+            entry["attributes"] = {k: bool(v) for k, v in sorted(inst.attributes.items())}
+        instances.append(entry)
+    doc = {"frame_id": labels.frame_id, "height": labels.height, "width": labels.width,
+           "instances": instances}
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("ascii")
+
+
+_EDGE_FLOATS = [0.0, -0.0, 1e-05, 0.1, 1e16, 5e-324, 1.7976931348623157e308]
+# non-ASCII, quotes, backslashes, control characters and lone surrogates
+_label_text = st.text(st.characters(codec=None, categories=None)
+                      | st.sampled_from(['"', "\\", "\x00", "\x7f", "\ud800", "\udfff", "é", "€"]),
+                      max_size=6)
+_coords = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+_sizes = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+_scores = st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 1e-05, 0.1, 5e-324, 1.0])
+
+
+@st.composite
+def label_sets(draw):
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    ids = draw(st.lists(st.integers(-2**70, 2**70), unique=True, max_size=4))
+    instances = []
+    for iid in ids:
+        cuts = draw(st.lists(st.integers(0, h * w), max_size=5))  # none: a single-count RLE
+        counts = np.diff([0, *sorted(cuts), h * w]).tolist()
+        attributes = draw(st.none() | st.dictionaries(_label_text, st.booleans(), max_size=3))
+        instances.append(InstanceLabel(
+            mask=Rle(h, w, counts), box=BBox(draw(_coords), draw(_coords), draw(_sizes), draw(_sizes)),
+            score=draw(_scores), instance_id=iid, attributes=attributes))
+    return LabelSet(draw(_label_text), h, w, instances)
+
+
+@given(label_sets())
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_labels_writer_bytes_match_the_generic_encoder(tmp_path, labels):
+    p = tmp_path / "l.json"
+    write_labels(p, labels)
+    assert p.read_bytes() == _labels_text_ref(labels)
+
+
+def _one_instance(h=2, w=2, box=BBox(0.0, 0.0, 2.0, 2.0), instance_id=0, attributes=None):
+    return InstanceLabel(mask=Rle(h, w, (h * w,)), box=box, score=1.0,
+                         instance_id=instance_id, attributes=attributes)
+
+
+@pytest.mark.parametrize("labels, field", [
+    (LabelSet("f", 2, 2, [_one_instance(box=BBox(0, 0, -1, 2))]), "$.instances[0].box"),
+    (LabelSet("f", 2, 2, [_one_instance(box=BBox(0, 0, 2, -0.5))]), "$.instances[0].box"),
+    (LabelSet("f", 8192, 8193, []), "$.height"),
+    (LabelSet("f", 0, 3, []), "$.height"),
+    (LabelSet("f", 2, 2, [_one_instance(instance_id=True)]), "$.instances[0].id"),
+    (LabelSet("f", 2, 2, [_one_instance(instance_id=np.int64(3))]), "$.instances[0].id"),
+    (LabelSet("f", 2, 2, [_one_instance(), _one_instance(instance_id=1.0)]), "$.instances[1].id"),
+    (LabelSet("f", True, 1, [_one_instance(h=True, w=1)]), "$.height"),
+    (LabelSet("f", 2, 2.0, [_one_instance()]), "$.width"),
+    (LabelSet(7, 2, 2, []), "$.frame_id"),
+    # an int key would read back as a string key, not as written
+    (LabelSet("f", 2, 2, [_one_instance(attributes={1: True})]), "$.instances[0].attributes"),
+], ids=["negative-width", "negative-height", "over-max-pixels", "empty-frame", "bool-id", "int64-id",
+        "float-id", "bool-height", "float-width", "int-frame-id", "int-attribute-key"])
+def test_labels_writer_refuses_what_the_reader_refuses(tmp_path, labels, field):
+    p = tmp_path / "out.json"
+    with pytest.raises(SchemaViolation, match="out.json") as exc:
+        write_labels(p, labels)
+    assert exc.value.field_path == field
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_labels_rle_sum_mismatch(tmp_path):
