@@ -8,17 +8,19 @@ them, while a large mask overlapping a single well-matched small mask
 keeps whichever scores higher. Plain NMS is provided as the baseline.
 
 Aggregation selects among input instances; it never edits a mask. Every
-overlap is measured with the :mod:`~mobilabel.maskcore` kernel on masks
-prepared once per call.
+overlap is measured with the pairwise kernel :func:`~mobilabel.maskcore.overlaps`
+on masks prepared once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import DimensionMismatch
 from .initlabel import InstanceLabel, LabelSet
-from .maskcore import PreparedMask, coverage, intersection, iou
+from .maskcore import PreparedMask, coverage, ious, overlaps
 
 __all__ = [
     "AggParams",
@@ -42,23 +44,23 @@ class AggParams:
                 raise ValueError(f"{name} must lie in (0, 1), got {v}")
 
 
+@dataclass(eq=False, slots=True)
 class _Prepared:
     """Instance with its source set (0 large, 1 small) and prepared mask."""
 
-    __slots__ = ("inst", "source", "mask")
-
-    def __init__(self, inst: InstanceLabel, source: int):
-        self.inst = inst
-        self.source = source
-        self.mask = PreparedMask(inst.mask)
+    inst: InstanceLabel
+    source: int
+    mask: PreparedMask
 
 
 def _prepare(labels: LabelSet, source: int) -> list[_Prepared]:
+    """The non-empty instances in canonical (score desc, id, source) order."""
     # empty masks carry no evidence and would poison coverage fractions
-    return [p for p in (_Prepared(i, source) for i in labels.instances) if p.mask.area]
+    prepared = (_Prepared(i, source, PreparedMask(i.mask)) for i in labels.instances)
+    return _canonical(p for p in prepared if p.mask.area)
 
 
-def _canonical(prepared: list[_Prepared]) -> list[_Prepared]:
+def _canonical(prepared) -> list[_Prepared]:
     return sorted(prepared, key=lambda p: (-p.inst.score, p.inst.instance_id, p.source))
 
 
@@ -68,18 +70,11 @@ def _emit(frame: LabelSet, kept: list[_Prepared], reassign: bool) -> LabelSet:
     return LabelSet(frame.frame_id, frame.height, frame.width, instances)
 
 
-def _filter_smaller(prepared: list[_Prepared], filt_frac: float) -> list[_Prepared]:
-    """Drop instances mostly inside a strictly larger single instance."""
-    return [a for a in prepared if not any(
-        b.mask.area > a.mask.area and intersection(b.mask, a.mask) / a.mask.area > filt_frac
-        for b in prepared if b is not a)]
-
-
-def _filter_larger(prepared: list[_Prepared], filt_frac: float) -> list[_Prepared]:
-    """Drop instances that act as containers of a strictly smaller one."""
-    return [a for a in prepared if not any(
-        b.mask.area < a.mask.area and intersection(a.mask, b.mask) / b.mask.area > filt_frac
-        for b in prepared if b is not a)]
+def _contains(prepared: list[_Prepared], filt_frac: float) -> np.ndarray:
+    """[i, j]: instance i is strictly larger than j and holds more than filt_frac of it."""
+    masks = [q.mask for q in prepared]
+    area = np.array([m.area for m in masks], dtype=np.int64)
+    return (area[:, None] > area) & (overlaps(masks, masks) / area > filt_frac)
 
 
 def mask_agg(ml: LabelSet, ms: LabelSet, p: AggParams) -> LabelSet:
@@ -98,36 +93,25 @@ def mask_agg(ml: LabelSet, ms: LabelSet, p: AggParams) -> LabelSet:
         raise DimensionMismatch(
             f"label sets differ in frame size: {ml.height}x{ml.width} vs {ms.height}x{ms.width}"
         )
-    large = _filter_smaller(_canonical(_prepare(ml, 0)), p.filt_frac)
-    small = _filter_larger(_canonical(_prepare(ms, 1)), p.filt_frac)
+    large, small = _prepare(ml, 0), _prepare(ms, 1)
+    large = [q for q, held in zip(large, _contains(large, p.filt_frac).any(axis=0)) if not held]
+    small = [q for q, holds in zip(small, _contains(small, p.filt_frac).any(axis=1)) if not holds]
 
-    agg: list[_Prepared] = []
-    chosen, touched = set(), set()
-
-    def add(q: _Prepared) -> None:
-        if id(q) not in chosen:
-            chosen.add(id(q))
-            agg.append(q)
-
-    for m in large:
-        overlap = [s for s in small if intersection(s.mask, m.mask) > 0]
-        touched.update(id(s) for s in overlap)
-        if not overlap:
-            add(m)
-        elif len(overlap) == 1 and iou(overlap[0].mask, m.mask) > p.match_thrd:
-            s = overlap[0]
-            add(s if s.inst.score > m.inst.score else m)
-        elif coverage([s.mask for s in overlap], m.mask) > p.cover_frac:
-            for s in overlap:
-                add(s)
+    inter = overlaps([s.mask for s in small], [m.mask for m in large])
+    agg = [s for s, touched in zip(small, inter.any(axis=1)) if not touched]
+    for m, col in zip(large, inter.T):
+        hits = [small[i] for i in np.flatnonzero(col)]
+        if not hits:
+            agg.append(m)
+        elif len(hits) == 1 and col.max() / (hits[0].mask.area + m.mask.area - col.max()) > p.match_thrd:
+            s = hits[0]
+            agg.append(s if s.inst.score > m.inst.score else m)
+        elif coverage([s.mask for s in hits], m.mask) > p.cover_frac:
+            agg += hits
         else:
-            add(m)
-
-    for s in small:
-        if id(s) not in touched:
-            add(s)
-
-    return _emit(ml, _canonical(agg), reassign=True)
+            agg.append(m)
+    # a small instance several large ones take is kept once; the canonical key is unique
+    return _emit(ml, _canonical(set(agg)), reassign=True)
 
 
 def nms(proposals: LabelSet, iou_thrd: float) -> LabelSet:
@@ -138,9 +122,10 @@ def nms(proposals: LabelSet, iou_thrd: float) -> LabelSet:
     """
     if not (0 <= iou_thrd <= 1):
         raise ValueError(f"iou_thrd must lie in [0, 1], got {iou_thrd}")
-    ordered = _canonical(_prepare(proposals, 0))
-    kept: list[_Prepared] = []
-    for cand in ordered:
-        if all(iou(cand.mask, k.mask) <= iou_thrd for k in kept):
-            kept.append(cand)
-    return _emit(proposals, kept, reassign=False)
+    ordered = _prepare(proposals, 0)
+    pair_iou = ious([q.mask for q in ordered], [q.mask for q in ordered])
+    kept: list[int] = []
+    for i, row in enumerate(pair_iou):
+        if not (row[kept] > iou_thrd).any():
+            kept.append(i)
+    return _emit(proposals, [ordered[i] for i in kept], reassign=False)

@@ -4,8 +4,10 @@ A binary mask is a 2D ``numpy`` array of ``bool`` with shape (height,
 width). Stored masks are :class:`Rle`, valid once built. :class:`PreparedMask`,
 a mask's tight-box bitmap, is the one codec both ways and owns a mask's box
 and area, so label producers work on crops, and every mask IoU and coverage
-is :func:`intersection`, :func:`iou` or :func:`coverage` over prepared masks.
-:func:`rle_encode` and :func:`rle_decode` remain frame-array adapters over it.
+is :func:`intersection`, :func:`iou` or :func:`coverage` over prepared masks,
+or, between two lists, the pairwise kernel :func:`overlaps` or :func:`ious`,
+which counts pixels only where boxes meet. :func:`rle_encode` and
+:func:`rle_decode` remain frame-array adapters over it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ __all__ = [
     "PreparedMask",
     "intersection",
     "iou",
+    "overlaps",
+    "ious",
     "box_iou",
     "coverage",
 ]
@@ -216,9 +220,30 @@ def intersection(a: PreparedMask, b: PreparedMask) -> int:
 
 def iou(a: PreparedMask, b: PreparedMask) -> float:
     """Intersection-over-union of two masks; 0.0 when both are empty."""
-    inter = intersection(a, b)
-    union = a.area + b.area - inter
-    return inter / union if union else 0.0
+    return float(ious([a], [b])[0, 0])
+
+
+def overlaps(a, b) -> np.ndarray:
+    """The (len(a), len(b)) int64 matrix of :func:`intersection` counts, taken
+    only on the pairs whose [row, col, row end, col end) boxes share a pixel
+    (one broadcast finds them); the rest are 0. Differing frame sizes raise
+    :class:`~mobilabel.errors.DimensionMismatch` even if no boxes meet."""
+    if a and b and len(shapes := {m.shape for m in (*a, *b)}) > 1:
+        raise DimensionMismatch(f"mask shapes differ: {sorted(shapes)}")
+    box_a, box_b = (np.array([(m.row, m.col, m.row + m.bits.shape[0], m.col + m.bits.shape[1]) for m in ms],
+                             dtype=np.int64).reshape(-1, 4) for ms in (a, b))
+    lo, hi = np.maximum(box_a[:, None, :2], box_b[:, :2]), np.minimum(box_a[:, None, 2:], box_b[:, 2:])
+    meet = (lo < hi).all(axis=2)
+    out = np.zeros(meet.shape, dtype=np.int64)
+    out[meet] = [intersection(a[i], b[j]) for i, j in zip(*np.nonzero(meet))]
+    return out
+
+
+def ious(a, b) -> np.ndarray:
+    """The (len(a), len(b)) float64 IoU matrix over :func:`overlaps`; 0.0 for two empty masks."""
+    area_a, area_b = (np.array([m.area for m in ms], dtype=np.int64) for ms in (a, b))
+    inter = overlaps(a, b)
+    return inter / np.maximum(area_a[:, None] + area_b - inter, 1)  # two empty masks: 0 / 1
 
 
 def coverage(refs, targ: PreparedMask) -> float:

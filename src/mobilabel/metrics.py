@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, FrameMismatch, MissingAttribute
 from .initlabel import LabelSet
-from .maskcore import PreparedMask, box_iou, iou
+from .maskcore import PreparedMask, box_iou, ious
 
 __all__ = [
     "EvalConfig",
@@ -93,17 +93,9 @@ def size_bucket(area: float) -> str:
 
 
 def _iou_matrix(preds, gts, mode: str) -> np.ndarray:
-    if mode == "box":
-        region, pair_iou = (lambda inst: inst.box), box_iou
-    else:
-        region, pair_iou = (lambda inst: PreparedMask(inst.mask)), iou
-    gt_regions = [region(g) for g in gts]
-    out = np.zeros((len(preds), len(gts)))
-    for i, p in enumerate(preds):
-        a = region(p)
-        for j, b in enumerate(gt_regions):
-            out[i, j] = pair_iou(a, b)
-    return out
+    if mode == "mask":
+        return ious([PreparedMask(p.mask) for p in preds], [PreparedMask(g.mask) for g in gts])
+    return np.array([[box_iou(p.box, g.box) for g in gts] for p in preds]).reshape(len(preds), len(gts))
 
 
 def _greedy(iou: np.ndarray, gts, thresholds) -> np.ndarray:

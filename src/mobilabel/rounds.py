@@ -44,7 +44,7 @@ from .errors import (
 )
 from .initlabel import LabelSet, make_initial_labels
 from .io import _dump_json, _load_json, _want, read_frame_labels, read_transform, write_labels, write_transform
-from .maskcore import PreparedMask, iou
+from .maskcore import PreparedMask, ious
 from .rescale import ScaleTransform, make_transform, invert_labels
 
 STAGES = ("moving2mobile", "large2small", "final")
@@ -59,6 +59,8 @@ def _check_pair(name, value, lo_open=False):
     if not (isinstance(value, tuple) and len(value) == 2):
         raise ValueError(f"{name} must be a pair, got {value!r}")
     for v in value:
+        if isinstance(v, bool):
+            raise ValueError(f"{name} entries must be numbers, got {value!r}")
         if lo_open and not (0.0 < v <= 1.0):
             raise ValueError(f"{name} entries must be in (0, 1], got {value}")
         if not lo_open:
@@ -98,8 +100,8 @@ class RoundConfig:
             object.__setattr__(self, "scale", tuple(self.scale))
         if self.epochs is None:
             object.__setattr__(self, "epochs", 3 if self.stage == "moving2mobile" else 20)
-        if self.epochs < 1:
-            raise ValueError("epochs must be positive")
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, int) or self.epochs < 1:
+            raise ValueError(f"epochs must be a positive integer, got {self.epochs!r}")
 
         if self.stage == "moving2mobile":
             if isinstance(self.conf_threshold, bool) or not isinstance(
@@ -188,12 +190,9 @@ def gt_overlap_filter(predictions: LabelSet, gt: LabelSet,
         raise DimensionMismatch(
             f"predictions {predictions.height}x{predictions.width} vs "
             f"ground truth {gt.height}x{gt.width}")
-    gt_masks = [PreparedMask(g.mask) for g in gt.instances]
-    kept = []
-    for inst in predictions.instances:
-        m = PreparedMask(inst.mask)
-        if any(iou(m, g) >= min_iou for g in gt_masks):
-            kept.append(inst)
+    pair_iou = ious([PreparedMask(p.mask) for p in predictions.instances],
+                    [PreparedMask(g.mask) for g in gt.instances])
+    kept = [inst for inst, row in zip(predictions.instances, pair_iou) if (row >= min_iou).any()]
     return LabelSet(predictions.frame_id, predictions.height, predictions.width, kept)
 
 

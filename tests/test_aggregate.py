@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mobilabel.aggregate import AggParams, _filter_larger, _filter_smaller, _prepare, mask_agg, nms
+from mobilabel.aggregate import AggParams, _contains, _prepare, mask_agg, nms
 from mobilabel.errors import DimensionMismatch
 from mobilabel.initlabel import InstanceLabel, LabelSet
 from mobilabel.maskcore import rle_decode
@@ -28,15 +28,17 @@ def content(ls):
 
 
 def filter_smaller(ml, filt_frac):
-    """mask_agg's large-set pre-filter on its own."""
-    return LabelSet(ml.frame_id, ml.height, ml.width,
-                    [p.inst for p in _filter_smaller(_prepare(ml, 0), filt_frac)])
+    """mask_agg's large-set pre-filter on its own: drop what a larger one holds."""
+    prepared = _prepare(ml, 0)
+    held = _contains(prepared, filt_frac).any(axis=0)
+    return LabelSet(ml.frame_id, ml.height, ml.width, [p.inst for p, h in zip(prepared, held) if not h])
 
 
 def filter_larger(ms, filt_frac):
-    """mask_agg's small-set pre-filter on its own."""
-    return LabelSet(ms.frame_id, ms.height, ms.width,
-                    [p.inst for p in _filter_larger(_prepare(ms, 1), filt_frac)])
+    """mask_agg's small-set pre-filter on its own: drop what holds a smaller one."""
+    prepared = _prepare(ms, 1)
+    holds = _contains(prepared, filt_frac).any(axis=1)
+    return LabelSet(ms.frame_id, ms.height, ms.width, [p.inst for p, h in zip(prepared, holds) if not h])
 
 
 def agg_content(dicts):

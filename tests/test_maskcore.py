@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mobilabel import aggregate, maskcore
+from mobilabel.aggregate import AggParams, mask_agg, nms
 from mobilabel.errors import DimensionMismatch, EmptyMask, EmptyTarget, RleSumMismatch
-from mobilabel.initlabel import DbscanParams, dbscan_partition
+from mobilabel.initlabel import DbscanParams, InstanceLabel, LabelSet, dbscan_partition
 from mobilabel.io import read_labels
 from mobilabel.maskcore import (
     BBox,
@@ -17,9 +20,13 @@ from mobilabel.maskcore import (
     coverage,
     intersection,
     iou,
+    ious,
+    overlaps,
     rle_decode,
     rle_encode,
 )
+from mobilabel.metrics import EvalConfig, evaluate
+from mobilabel.rounds import gt_overlap_filter
 
 from oracles import components_ref, coverage_ref, iou_ref, rle_counts_ref, rle_expand_ref
 
@@ -215,6 +222,134 @@ def test_kernel_matches_pixel_oracles(case):
     assert iou(pa, pb) == iou_ref(a, b)
     if b.any():
         assert coverage([prep(r) for r in refs + [a]], pb) == coverage_ref(refs + [a], b)
+
+
+# -- the pairwise kernel: overlaps / ious --------------------------------
+
+def _abutting(hw):
+    """Two rectangles whose boxes share an edge but no pixel (none if the
+    frame is one column wide)."""
+    h, w = hw
+    if w < 2:
+        return st.just([])
+
+    def pair(cut, rows_a, rows_b, lo, hi):
+        left, right = np.zeros(hw, dtype=bool), np.zeros(hw, dtype=bool)
+        left[min(rows_a): max(rows_a) + 1, lo: cut] = True
+        right[min(rows_b): max(rows_b) + 1, cut: hi] = True
+        return [left, right]
+
+    rows = st.tuples(st.integers(0, h - 1), st.integers(0, h - 1))
+    return st.integers(1, w - 1).flatmap(lambda cut: st.builds(
+        pair, st.just(cut), rows, rows, st.integers(0, cut - 1), st.integers(cut + 1, w)))
+
+
+def _mask_lists(hw):
+    one = st.one_of(arrays(bool, hw), st.sampled_from(_edge_masks(*hw)))
+    return st.tuples(st.lists(one, max_size=4), st.lists(one, max_size=4),
+                     st.one_of(st.just([]), _abutting(hw)))
+
+
+_LEFT, _RIGHT = np.zeros((4, 6), dtype=bool), np.zeros((4, 6), dtype=bool)
+_LEFT[:, :3], _RIGHT[:, 3:] = True, True
+
+
+@given(small_frames.flatmap(_mask_lists))
+@example(([], [], [_LEFT, _RIGHT]))  # boxes that share an edge: 0 and 0.0
+@example(([np.zeros((3, 3), dtype=bool)], [], []))  # a row against no column
+@settings(max_examples=200)
+def test_overlaps_and_ious_equal_the_scalar_kernel_on_every_pair(case):
+    list_a, list_b, abutting = case
+    a = [prep(m) for m in list_a + abutting[:1]]
+    b = [prep(m) for m in abutting[1:] + list_b]
+    inter, pair_iou = overlaps(a, b), ious(a, b)
+    assert inter.shape == pair_iou.shape == (len(a), len(b))
+    assert inter.dtype == np.int64 and pair_iou.dtype == np.float64
+    for i, p in enumerate(a):
+        for j, q in enumerate(b):
+            n = intersection(p, q)
+            assert inter[i, j] == n == int((paste(p) & paste(q)).sum())
+            union = p.area + q.area - n
+            want = n / union if union else 0.0  # the scalar IoU in Python ints
+            assert float(pair_iou[i, j]).hex() == want.hex() == iou(p, q).hex()
+
+
+def test_overlaps_refuses_differing_frame_sizes_even_for_disjoint_boxes():
+    a = prep(mask_from_pixels(4, 4, [(0, 0)]))
+    b = prep(mask_from_pixels(6, 6, [(5, 5)]))
+    for kernel in (overlaps, ious):
+        with pytest.raises(DimensionMismatch):
+            kernel([a], [b])
+        with pytest.raises(DimensionMismatch):
+            kernel([a, b], [a])
+        assert kernel([a, b], []).shape == (2, 0)  # no pair to compare
+
+
+# -- the pairwise kernel: only boxes that meet reach the pixels ------------
+
+def _box_pixels(p):
+    return paste(PreparedMask.from_bits(np.ones(p.bits.shape, dtype=bool), p.row, p.col, p.shape))
+
+
+def _boxes_meet(p, q):
+    return bool((_box_pixels(p) & _box_pixels(q)).any())
+
+
+@pytest.fixture
+def window_calls(monkeypatch):
+    """Every maskcore._window call as (caller, a, b), and every call of the
+    pairwise kernel as (a, b), wherever a module bound it."""
+    log = {"window": [], "kernel": []}
+    window, kernel = maskcore._window, maskcore.overlaps
+
+    def spy_window(a, b):
+        log["window"].append((sys._getframe(1).f_code.co_name, a, b))
+        return window(a, b)
+
+    def spy_kernel(a, b):
+        log["kernel"].append((list(a), list(b)))
+        return kernel(a, b)
+
+    monkeypatch.setattr(maskcore, "_window", spy_window)
+    for mod in (maskcore, aggregate):  # ious, and so metrics and rounds, call maskcore.overlaps
+        monkeypatch.setattr(mod, "overlaps", spy_kernel)
+    return log
+
+
+def _squares(corners, side, first_id=0):
+    out = []
+    for n, (r, c) in enumerate(corners):
+        m = np.zeros((64, 96), dtype=bool)
+        m[r: r + side, c: c + side] = True
+        out.append(InstanceLabel.from_mask(m, round(0.9 - 0.05 * n, 2), first_id + n))
+    return LabelSet("f", 64, 96, out)
+
+
+# six large squares on a grid and eight small ones: two small ones lie inside
+# a large one, one crosses a large one's edge, one shares a large one's edge
+# without a common pixel, and the rest lie apart
+LARGE_CORNERS = [(0, 0), (0, 30), (0, 60), (30, 0), (30, 30), (30, 60)]
+SMALL_CORNERS = [(2, 2), (8, 38), (12, 62), (30, 16), (20, 20), (50, 18), (52, 48), (50, 84)]
+LARGE, SMALL = _squares(LARGE_CORNERS, 16), _squares(SMALL_CORNERS, 6)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mask_agg(LARGE, SMALL, AggParams()),
+    lambda: mask_agg(LARGE, SMALL, AggParams(match_thrd=0.05, filt_frac=0.05, cover_frac=0.05)),
+    lambda: nms(LabelSet("f", 64, 96, LARGE.instances + _squares(SMALL_CORNERS, 6, 10).instances), 0.3),
+    lambda: gt_overlap_filter(SMALL, LARGE, 0.0),
+    lambda: evaluate([SMALL], [LARGE], EvalConfig()),
+], ids=["mask_agg", "mask_agg_low", "nms", "gt_overlap_filter", "evaluate"])
+def test_pixels_are_counted_only_where_boxes_meet(window_calls, call):
+    call()
+    counted = [(a, b) for caller, a, b in window_calls["window"] if caller == "intersection"]
+    assert all(_boxes_meet(a, b) for a, b in counted), "a box-disjoint pair reached the pixels"
+    meeting = [(p, q) for a, b in window_calls["kernel"] for p in a for q in b if _boxes_meet(p, q)]
+    assert [(id(a), id(b)) for a, b in counted] == [(id(p), id(q)) for p, q in meeting]
+    assert {caller for caller, _, _ in window_calls["window"]} <= {"intersection", "coverage"}
+    assert all(_boxes_meet(a, b) for caller, a, b in window_calls["window"] if caller == "coverage")
+    pairs = sum(len(a) * len(b) for a, b in window_calls["kernel"])
+    assert len(meeting) < pairs / 3
 
 
 # -- prepared masks: encoding a placed bitmap ---------------------------

@@ -86,6 +86,40 @@ def test_round_config_validation():
         RoundConfig(stage="moving2mobile", conf_threshold=1.5, scale=(0.5, 1.0))
 
 
+@pytest.mark.parametrize("stage, changes", [
+    ("large2small", {"conf_threshold": (True, 0.8)}),
+    ("large2small", {"conf_threshold": (0.9, False)}),
+    ("large2small", {"scale": (True, 0.25)}),
+    ("large2small", {"epochs": 2.5}),
+    ("large2small", {"epochs": True}),
+    ("large2small", {"epochs": float("inf")}),
+    ("moving2mobile", {"scale": (True, 1.0)}),
+    ("moving2mobile", {"epochs": 3.0}),
+    ("final", {"scale": (0.5, True)}),
+    ("final", {"epochs": True}),
+])
+def test_stages_refuse_a_bool_pair_entry_or_a_non_integer_epochs(stage, changes):
+    cfg = next(c for c in default_stages() if c.stage == stage)
+    with pytest.raises(ValueError):
+        dataclasses.replace(cfg, **changes)
+
+
+@pytest.mark.parametrize("changes", [
+    {"conf_threshold": [True, 0.8]},
+    {"scale": [1.0, True]},
+    {"epochs": 2.5},
+    {"epochs": True},
+])
+def test_manifest_with_a_bool_pair_entry_or_non_integer_epochs_is_a_schema_violation(tmp_path, changes):
+    ex = DetectorExchange(tmp_path / "x")
+    ex.root.mkdir()
+    config = {**default_stages()[1].to_dict(), "agg": dataclasses.asdict(AggParams()), **changes}
+    ex.manifest_path.write_text(json.dumps({"frame_ids": [], "config": config}))
+    with pytest.raises(SchemaViolation) as err:
+        ex.read_manifest()
+    assert err.value.field_path == "$.config"
+
+
 def test_round_config_dict_round_trip():
     for cfg in default_stages():
         assert RoundConfig.from_dict(cfg.to_dict()) == cfg
