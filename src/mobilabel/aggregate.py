@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, check_real
 from .initlabel import InstanceLabel, LabelSet
 from .maskcore import PreparedMask, coverage, ious, overlaps
 
@@ -39,9 +39,7 @@ class AggParams:
 
     def __post_init__(self):
         for name in ("match_thrd", "filt_frac", "cover_frac"):
-            v = getattr(self, name)
-            if not (0 < v < 1):
-                raise ValueError(f"{name} must lie in (0, 1), got {v}")
+            check_real(name, getattr(self, name), 0, 1, "()")
 
 
 @dataclass(eq=False, slots=True)
@@ -120,8 +118,7 @@ def nms(proposals: LabelSet, iou_thrd: float) -> LabelSet:
     Ties in score fall to the lower instance id. Survivors are returned
     highest score first, otherwise unchanged.
     """
-    if not (0 <= iou_thrd <= 1):
-        raise ValueError(f"iou_thrd must lie in [0, 1], got {iou_thrd}")
+    check_real("iou_thrd", iou_thrd, 0, 1)
     ordered = _prepare(proposals, 0)
     pair_iou = ious([q.mask for q in ordered], [q.mask for q in ordered])
     kept: list[int] = []

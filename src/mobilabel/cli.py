@@ -329,12 +329,12 @@ def _frame_rng(seed: int, frame_id: str, tag: int) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(frame_id.encode("utf-8")), tag])
 
 
-def _make_mock(gt_dir: Path, noise: DetectorNoise, seed: int):
-    table = {fid: _frame_labels(gt_dir, fid) for fid in _label_ids(gt_dir)}
+def _make_mock(gt_dir: Path, noise: DetectorNoise, seed: int, frame_ids: list[str]):
+    for fid in frame_ids:  # every file is found before the pipeline writes anything
+        _need_file(gt_dir / f"{fid}.json", "ground-truth labels")
+    table = {fid: _frame_labels(gt_dir, fid) for fid in frame_ids}
 
     def detector(ls: LabelSet, transform):
-        if ls.frame_id not in table:
-            raise MissingPredictions(ls.frame_id)
         gt = table[ls.frame_id]
         if transform is None:
             base, tag, region = gt, 0, None
@@ -358,11 +358,11 @@ def cmd_pipeline(args) -> int:
         RoundConfig(stage="final", scale=tuple(args.jitter), epochs=args.final_epochs),
     )
     l0_in = _need_dir(args.l0, "initial labels")
-    detector = None
+    mock = None
     if args.mock_gt is not None:
-        detector = _make_mock(_need_dir(args.mock_gt, "mock ground truth"),
-                              _from_flags(DetectorNoise, args), args.seed)
+        mock = (_need_dir(args.mock_gt, "mock ground truth"), _from_flags(DetectorNoise, args))
     l0 = [_frame_labels(l0_in, fid) for fid in _label_ids(l0_in)]
+    detector = None if mock is None else _make_mock(*mock, args.seed, [ls.frame_id for ls in l0])
     results = run_pipeline(l0, stages, Path(args.exchange), detector=detector)
     out = Path(args.out)
     parts = []

@@ -1,9 +1,42 @@
-"""Typed exceptions raised across the package.
+"""Typed exceptions raised across the package, and the checks of settings.
 
 Every validation failure maps to one of these classes so callers (and the
 CLI exit-code logic) can distinguish malformed inputs from internal bugs.
 Each one pickles, so it reaches the CLI intact from a worker process.
+
+A setting is checked where it is built, by one rule per kind of value:
+:func:`check_int` for counts and :func:`check_real` for thresholds,
+fractions and lengths. Both raise ``ValueError`` (the CLI's usage error)
+and refuse a bool; ``check_real`` also refuses NaN. A scale has its own
+rule, (0, 1] with a finite reciprocal, in :func:`mobilabel.rescale.check_scale`,
+which builds on ``check_real``. Neither check is exported: they serve the
+config objects of the sibling modules.
 """
+
+import math
+import numbers
+
+__all__ = [
+    "MobilabelError",
+    "DimensionMismatch",
+    "EmptyTarget",
+    "EmptyMask",
+    "NonPositiveDepth",
+    "InstanceInPadding",
+    "MissingPredictions",
+    "StageOrderViolation",
+    "FrameMismatch",
+    "UnsafeFrameId",
+    "MissingAttribute",
+    "PlacementFailure",
+    "FormatError",
+    "BadMagic",
+    "BadHeader",
+    "TruncatedFile",
+    "NonFiniteValue",
+    "SchemaViolation",
+    "RleSumMismatch",
+]
 
 
 class MobilabelError(Exception):
@@ -106,3 +139,20 @@ class SchemaViolation(FormatError):
 
 class RleSumMismatch(FormatError):
     """RLE counts hold a negative run or do not sum to height * width."""
+
+
+def check_int(name: str, value, low: int):
+    """value, refused unless it is an integral number (numpy's too), not a bool, >= low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def check_real(name: str, value, low: float, high: float = math.inf, ends: str = "[]"):
+    """value, refused unless it is a real number (numpy's too), not a bool or NaN, in the
+    interval whose ends are written as in math: "(]" is (low, high]; "[)" with no high, finite."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (low < value if ends[0] == "(" else low <= value)  # also false for NaN
+            or not (value < high if ends[1] == ")" else value <= high)):
+        raise ValueError(f"{name} must be a number in {ends[0]}{low}, {high}{ends[1]}, got {value!r}")
+    return value

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveDepth
+from .errors import DimensionMismatch, NonPositiveDepth, check_int, check_real
 from .maskcore import BBox, PreparedMask, Rle
 
 __all__ = [
@@ -60,12 +60,9 @@ class DbscanParams:
     pixel_window: int = 10
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.min_pts < 1:
-            raise ValueError(f"min_pts must be >= 1, got {self.min_pts}")
-        if self.pixel_window < 1:
-            raise ValueError(f"pixel_window must be >= 1, got {self.pixel_window}")
+        check_real("eps", self.eps, 0, ends="(]")  # inf: no depth gate
+        check_int("min_pts", self.min_pts, 1)
+        check_int("pixel_window", self.pixel_window, 1)
 
 
 @dataclass(frozen=True)

@@ -182,10 +182,10 @@ def read_motion(path) -> np.ndarray:
 # -- structured-text helpers ------------------------------------------------
 
 def _dump_json(path, obj) -> None:
-    """Write ``obj`` as sorted, indented JSON text; NaN or infinity, which
-    JSON lacks, is NonFiniteValue before any byte is written."""
+    """Write ``obj`` as sorted, indented JSON text, a numpy number as the one it holds;
+    NaN or infinity, which JSON lacks, is NonFiniteValue before any byte is written."""
     try:
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=np.generic.item)
     except ValueError:
         raise NonFiniteValue(f"{path}: NaN or infinity, which the format cannot hold") from None
     atomic_write_bytes(path, (text + "\n").encode("ascii"))

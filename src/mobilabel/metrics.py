@@ -30,7 +30,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .errors import DimensionMismatch, FrameMismatch, MissingAttribute
+from .errors import DimensionMismatch, FrameMismatch, MissingAttribute, check_int, check_real
 from .initlabel import LabelSet
 from .maskcore import PreparedMask, box_iou, ious
 
@@ -56,10 +56,11 @@ class EvalConfig:
     def __post_init__(self):
         t = tuple(self.iou_thresholds)
         object.__setattr__(self, "iou_thresholds", t)
-        if not t or any(not (0 < x <= 1) for x in t) or any(a >= b for a, b in zip(t, t[1:])):
-            raise ValueError(f"iou_thresholds must be strictly increasing within (0, 1], got {t}")
-        if self.max_dets < 1:
-            raise ValueError(f"max_dets must be >= 1, got {self.max_dets}")
+        if not t:
+            raise ValueError("iou_thresholds must not be empty")
+        for prev, x in zip((0, *t), t):  # strictly increasing within (0, 1]
+            check_real("iou_thresholds", x, prev, 1, "(]")
+        check_int("max_dets", self.max_dets, 1)
         if self.mode not in ("mask", "box"):
             raise ValueError(f"mode must be 'mask' or 'box', got {self.mode!r}")
 

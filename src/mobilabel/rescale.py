@@ -2,11 +2,13 @@
 
 A frame is shrunk by a factor in (0, 1], anchored at the top-left, and
 padded back to its original size on the right and bottom, so downstream
-consumers never see a size change. A :class:`ScaleTransform` is just that
-scale and the frame size; its content region and padding follow from one
-rounding rule, so no transform can disagree with itself. Labels follow the
-same geometry: boxes scale linearly (exactly invertible), masks are
-resampled nearest neighbor. Inversion reconstructs each mask inside its
+consumers never see a size change. The scale rule, (0, 1] with a finite
+reciprocal, is written once, as :func:`check_scale`, which both
+:func:`make_transform` and the stage configs call. A :class:`ScaleTransform`
+is just that scale and the frame size; its content region and padding follow
+from one rounding rule, so no transform can disagree with itself. Labels
+follow the same geometry: boxes scale linearly (exactly invertible), masks
+are resampled nearest neighbor. Inversion reconstructs each mask inside its
 inverted box, sampling only the part of the box inside the frame, so a
 box-shaped mask survives the round trip exactly.
 """
@@ -18,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, InstanceInPadding
+from .errors import DimensionMismatch, InstanceInPadding, check_int, check_real
 from .initlabel import LabelSet
 from .maskcore import BBox, PreparedMask
 
@@ -62,14 +64,18 @@ class ScaleTransform:
         return self.orig_width - self.content_width
 
 
+def check_scale(name: str, value):
+    """value, refused unless in (0, 1] with a finite reciprocal, by which :func:`invert_labels` scales."""
+    if math.isinf(1.0 / float(check_real(name, value, 0, 1, "(]"))):
+        raise ValueError(f"{name} must lie in (0, 1] with a finite reciprocal, got {value!r}")
+    return value
+
+
 def make_transform(orig_h: int, orig_w: int, scale: float) -> ScaleTransform:
-    """Build the transform for a frame size; scale must lie in (0, 1], and
-    its reciprocal, by which :func:`invert_labels` scales, must be finite."""
-    if not (0 < scale <= 1) or math.isinf(1.0 / float(scale)):
-        raise ValueError(f"scale must lie in (0, 1] with a finite reciprocal, got {scale}")
-    if orig_h < 1 or orig_w < 1:
-        raise ValueError(f"frame dimensions must be positive, got {orig_h}x{orig_w}")
-    return ScaleTransform(scale=float(scale), orig_height=orig_h, orig_width=orig_w)
+    """The transform of an orig_h x orig_w frame (integers >= 1) at a scale passing :func:`check_scale`."""
+    check_int("orig_h", orig_h, 1)
+    check_int("orig_w", orig_w, 1)
+    return ScaleTransform(scale=float(check_scale("scale", scale)), orig_height=orig_h, orig_width=orig_w)
 
 
 def _nn_rows_cols(t: ScaleTransform):
@@ -84,8 +90,6 @@ def transform_raster(values: np.ndarray, t: ScaleTransform, pad_value: float = 0
     values = np.asarray(values)
     if values.shape != (t.orig_height, t.orig_width):
         raise DimensionMismatch(f"raster is {values.shape}, transform expects {(t.orig_height, t.orig_width)}")
-    if t.scale == 1.0:
-        return values.copy()
     rows, cols = _nn_rows_cols(t)
     out = np.full(values.shape, pad_value, dtype=values.dtype)
     out[: t.content_height, : t.content_width] = values[np.ix_(rows, cols)]

@@ -41,35 +41,41 @@ from .errors import (
     SchemaViolation,
     StageOrderViolation,
     UnsafeFrameId,
+    check_int,
+    check_real,
 )
 from .initlabel import LabelSet, make_initial_labels
 from .io import _dump_json, _load_json, _want, read_frame_labels, read_transform, write_labels, write_transform
 from .maskcore import PreparedMask, ious
-from .rescale import ScaleTransform, make_transform, invert_labels
+from .rescale import ScaleTransform, check_scale, make_transform, invert_labels
+
+__all__ = [
+    "STAGES",
+    "DetectorExchange",
+    "RoundConfig",
+    "build_round",
+    "default_config_snapshot",
+    "default_stages",
+    "gt_overlap_filter",
+    "run_pipeline",
+    "threshold_filter",
+]
 
 STAGES = ("moving2mobile", "large2small", "final")
 
 
-def _check_unit(name, value):
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
-
-
-def _check_pair(name, value, lo_open=False):
+def _pair(name, value, check, *bounds):
+    """value, refused unless it is a pair whose entries pass check(name, entry, *bounds)."""
     if not (isinstance(value, tuple) and len(value) == 2):
         raise ValueError(f"{name} must be a pair, got {value!r}")
     for v in value:
-        if isinstance(v, bool):
-            raise ValueError(f"{name} entries must be numbers, got {value!r}")
-        if lo_open and not (0.0 < v <= 1.0):
-            raise ValueError(f"{name} entries must be in (0, 1], got {value}")
-        if not lo_open:
-            _check_unit(name, v)
+        check(name, v, *bounds)
+    return value
 
 
-def _check_jitter(value):
-    _check_pair("scale", value, lo_open=True)
-    if value[0] > value[1]:
+def _jitter_range(value):
+    lo, hi = _pair("scale", value, check_scale)
+    if lo > hi:
         raise ValueError(f"empty jitter range {value}")
 
 
@@ -100,32 +106,28 @@ class RoundConfig:
             object.__setattr__(self, "scale", tuple(self.scale))
         if self.epochs is None:
             object.__setattr__(self, "epochs", 3 if self.stage == "moving2mobile" else 20)
-        if isinstance(self.epochs, bool) or not isinstance(self.epochs, int) or self.epochs < 1:
-            raise ValueError(f"epochs must be a positive integer, got {self.epochs!r}")
+        check_int("epochs", self.epochs, 1)
 
         if self.stage == "moving2mobile":
-            if isinstance(self.conf_threshold, bool) or not isinstance(
-                    self.conf_threshold, (int, float)):
-                raise ValueError("moving2mobile needs a single conf_threshold")
-            object.__setattr__(self, "conf_threshold", float(self.conf_threshold))
-            _check_unit("conf_threshold", self.conf_threshold)
+            conf = check_real("conf_threshold", self.conf_threshold, 0, 1)  # one number, not a pair
+            object.__setattr__(self, "conf_threshold", float(conf))
             if self.scale is None:
                 raise ValueError("moving2mobile needs a scale jitter range")
-            _check_jitter(self.scale)
+            _jitter_range(self.scale)
             if self.agg is not None:
                 raise ValueError("agg applies only to the two-scale stage")
         elif self.stage == "large2small":
-            _check_pair("conf_threshold", self.conf_threshold)
+            _pair("conf_threshold", self.conf_threshold, check_real, 0, 1)
             if self.scale is None:
                 raise ValueError("large2small needs a (large, small) scale pair")
-            _check_pair("scale", self.scale, lo_open=True)
+            _pair("scale", self.scale, check_scale)
             if self.agg is None:
                 raise ValueError("large2small needs AggParams")
         else:  # final
             if self.conf_threshold is not None:
                 raise ValueError("final stage takes no conf_threshold")
             if self.scale is not None:
-                _check_jitter(self.scale)
+                _jitter_range(self.scale)
             if self.agg is not None:
                 raise ValueError("final stage takes no AggParams")
 
@@ -173,7 +175,7 @@ def default_config_snapshot() -> dict:
 
 def threshold_filter(predictions: LabelSet, conf: float) -> LabelSet:
     """Keep instances scoring at least conf (inclusive)."""
-    _check_unit("conf", conf)
+    check_real("conf", conf, 0, 1)
     kept = [inst for inst in predictions.instances if inst.score >= conf]
     return LabelSet(predictions.frame_id, predictions.height, predictions.width, kept)
 
@@ -185,7 +187,7 @@ def gt_overlap_filter(predictions: LabelSet, gt: LabelSet,
     survives.  Used only for oracle-parity experiments, never in the
     unsupervised path.
     """
-    _check_unit("min_iou", min_iou)
+    check_real("min_iou", min_iou, 0, 1)
     if (predictions.height, predictions.width) != (gt.height, gt.width):
         raise DimensionMismatch(
             f"predictions {predictions.height}x{predictions.width} vs "

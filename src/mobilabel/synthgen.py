@@ -19,9 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PlacementFailure
+from .errors import PlacementFailure, check_int, check_real
 from .initlabel import CameraIntrinsics, InstanceLabel, LabelSet
 from .maskcore import PreparedMask
+
+__all__ = [
+    "DetectorNoise",
+    "SceneSpec",
+    "generate_scene",
+    "mock_detector",
+    "occlusion_fixture",
+    "scene_intrinsics",
+]
 
 
 @dataclass(frozen=True)
@@ -45,29 +54,24 @@ class SceneSpec:
     margin: int = 8  # min gap between objects and to the border, pixels
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.height < 1 or self.width < 1:
-            raise ValueError("frame size must be positive")
-        lo, hi = self.n_objects
-        if not (0 <= lo <= hi):
-            raise ValueError(f"empty object count range {self.n_objects}")
-        dlo, dhi = self.depth_range
-        if not (0.0 < dlo <= dhi):
-            raise ValueError(f"empty depth range {self.depth_range}")
-        slo, shi = self.size_range
-        if not (1 <= slo <= shi):
-            raise ValueError(f"empty size range {self.size_range}")
-        for name in ("moving_fraction", "ellipse_fraction"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.depth_sigma < 0:
-            raise ValueError("depth_sigma must be non-negative")
-        if self.motion_blur < 0:
-            raise ValueError("motion_blur must be non-negative")
-        if self.margin < 0:
-            raise ValueError("margin must be non-negative")
+        check_int("seed", self.seed, 0)
+        check_int("height", self.height, 1)
+        check_int("width", self.width, 1)
+        _range("n_objects", self.n_objects, check_int, 0)
+        _range("depth_range", self.depth_range, check_real, 0, ends="()")
+        _range("size_range", self.size_range, check_int, 1)
+        check_real("moving_fraction", self.moving_fraction, 0, 1)
+        check_real("ellipse_fraction", self.ellipse_fraction, 0, 1)
+        check_real("depth_sigma", self.depth_sigma, 0, ends="[)")
+        check_int("motion_blur", self.motion_blur, 0)
+        check_int("margin", self.margin, 0)
+
+
+def _range(name, pair, check, *bounds, **ends):
+    """Refuse pair unless it is (lo, hi), lo <= hi, each passing check(name, entry, ...)."""
+    lo, hi = pair
+    if check(name, lo, *bounds, **ends) > check(name, hi, *bounds, **ends):
+        raise ValueError(f"{name} must be ordered (lo, hi), got {pair}")
 
 
 def scene_intrinsics(spec: SceneSpec) -> CameraIntrinsics:
@@ -102,10 +106,9 @@ def generate_scene(spec: SceneSpec, frame_index: int = 0):
     PlacementFailure when the count cannot be placed disjointly within
     a bounded number of attempts.
     """
-    if frame_index < 0:
-        raise ValueError("frame_index must be non-negative")
+    check_int("frame_index", frame_index, 0)
     rng = np.random.default_rng([spec.seed, frame_index])
-    h, w, margin = spec.height, spec.width, spec.margin
+    h, w, margin = int(spec.height), int(spec.width), spec.margin  # plain ints label the frame
 
     n = int(rng.integers(spec.n_objects[0], spec.n_objects[1] + 1))
     n_moving = int(spec.moving_fraction * n + 0.5)
@@ -214,18 +217,12 @@ class DetectorNoise:
     fp_size: int = 12
 
     def __post_init__(self):
-        if self.mask_jitter < 0:
-            raise ValueError("mask_jitter must be non-negative")
-        if not (0.0 <= self.score_mean <= 1.0):
-            raise ValueError("score_mean must be in [0, 1]")
-        if self.score_sigma < 0:
-            raise ValueError("score_sigma must be non-negative")
-        if not (0.0 <= self.dropout <= 1.0):
-            raise ValueError("dropout must be in [0, 1]")
-        if self.false_positives < 0:
-            raise ValueError("false_positives must be non-negative")
-        if self.fp_size < 1:
-            raise ValueError("fp_size must be positive")
+        check_int("mask_jitter", self.mask_jitter, 0)
+        check_real("score_mean", self.score_mean, 0, 1)
+        check_real("score_sigma", self.score_sigma, 0, ends="[)")
+        check_real("dropout", self.dropout, 0, 1)
+        check_int("false_positives", self.false_positives, 0)
+        check_int("fp_size", self.fp_size, 1)
 
 
 def _sample_score(noise: DetectorNoise, rng: np.random.Generator) -> float:

@@ -537,6 +537,18 @@ def test_pipeline_external_mode_needs_responses(dataset, tmp_path):
                "--out", tmp_path / "out") == 3
 
 
+def test_pipeline_mock_gt_names_a_missing_ground_truth_file_before_writing(dataset, tmp_path, capsys):
+    l0 = _l0(dataset, tmp_path)
+    gt = tmp_path / "gt"
+    gt.mkdir()
+    shutil.copy(dataset / "labels" / "000000.json", gt)
+    code = run("pipeline", "--l0", l0, "--exchange", tmp_path / "exch",
+               "--out", tmp_path / "out", "--mock-gt", gt)
+    assert (code, capsys.readouterr().err) == (
+        3, f"error: ground-truth labels not found: {gt / '000001.json'}\n")
+    assert not (tmp_path / "exch").exists() and not (tmp_path / "out").exists()
+
+
 # -- config file ----------------------------------------------------------------
 
 def test_config_supplies_defaults_and_flags_win(tmp_path, capsys):

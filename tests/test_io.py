@@ -396,8 +396,11 @@ def test_labels_schema_violations_carry_field_paths(tmp_path):
 
     assert corrupted(lambda d: d.pop("frame_id")) == "$.frame_id"
     assert corrupted(lambda d: d.__setitem__("height", "six")) == "$.height"
+    assert corrupted(lambda d: d.__setitem__("height", 0)) == "$.height"
     assert corrupted(lambda d: d["instances"][1].__setitem__("score", 1.5)) == "$.instances[1].score"
+    assert corrupted(lambda d: d["instances"][0].__setitem__("score", float("nan"))) == "$.instances[0].score"
     assert corrupted(lambda d: d["instances"][0]["box"].append(0)) == "$.instances[0].box"
+    assert corrupted(lambda d: d["instances"][0]["box"].__setitem__(2, -1.0)) == "$.instances[0].box"
     assert corrupted(lambda d: d["instances"][0]["rle"].__setitem__("size", [5, 8])) == "$.instances[0].rle.size"
     assert corrupted(lambda d: d["instances"][1].__setitem__("id", 0)) == "$.instances[1].id"
     assert corrupted(lambda d: d["instances"][0]["attributes"].__setitem__("moving", "yes")) \
@@ -515,6 +518,10 @@ def test_intrinsics_validation(tmp_path):
     p.write_text('{"fx": -1, "fy": 2, "cx": 0, "cy": 0}')
     with pytest.raises(SchemaViolation):
         read_intrinsics(p)
+    p.write_text('{"fx": Infinity, "fy": 2, "cx": 0, "cy": 0}')
+    with pytest.raises(SchemaViolation) as exc:
+        read_intrinsics(p)
+    assert exc.value.field_path == "$.fx"
     p.write_text('{"fx": 1, "fy": 2, "cx": 0}')
     with pytest.raises(SchemaViolation) as exc:
         read_intrinsics(p)

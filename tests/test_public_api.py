@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 MODULES = ["mobilabel", "mobilabel.maskcore", "mobilabel.initlabel", "mobilabel.io",
-           "mobilabel.rescale", "mobilabel.aggregate", "mobilabel.metrics"]
+           "mobilabel.rescale", "mobilabel.aggregate", "mobilabel.metrics",
+           "mobilabel.rounds", "mobilabel.synthgen", "mobilabel.errors"]
 
 
 @pytest.mark.parametrize("name", MODULES)

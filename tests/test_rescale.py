@@ -63,9 +63,14 @@ def test_make_transform_pads_restore_size(h, w, s):
 # -- transform_raster ----------------------------------------------------
 
 def test_raster_identity_scale():
-    r = np.arange(12.0).reshape(3, 4)
     t = make_transform(3, 4, 1.0)
-    assert np.array_equal(transform_raster(r, t), r)
+    for dtype in (np.float64, np.float32, np.uint8, bool):
+        for read_only in (False, True):  # read_motion returns a read-only raster
+            r = (np.arange(12) % 5).reshape(3, 4).astype(dtype)
+            r.flags.writeable = not read_only
+            out = transform_raster(r, t)
+            assert np.array_equal(out, r) and out.dtype == r.dtype
+            assert not np.shares_memory(out, r) and out.flags.writeable
 
 
 def test_raster_constant_fill():
@@ -150,6 +155,14 @@ def test_invert_identity_scale():
     ls = LabelSet("f", 30, 30, [inst])
     out = invert_labels(ls, make_transform(30, 30, 1.0))
     assert out.instances == ls.instances
+
+
+def test_invert_drops_an_empty_mask():
+    empty = InstanceLabel(mask=rle_encode(np.zeros((8, 8), dtype=bool)), box=BBox(0, 0, 2, 2),
+                          score=1.0, instance_id=0)
+    kept = rect_label(8, 8, 0, 0, 2, 2, iid=1)
+    out = invert_labels(LabelSet("f", 8, 8, [empty, kept]), make_transform(8, 8, 0.5))
+    assert [inst.instance_id for inst in out.instances] == [1]
 
 
 def test_invert_rejects_instance_in_padding():

@@ -287,6 +287,9 @@ def test_m2m_missing_frame_raises(tmp_path):
     ex.ensure_dirs()
     with pytest.raises(MissingPredictions):
         build_round(default_stages()[0], [cur], ex)
+    ex.write_response(LabelSet("000000", H, W + 1, []))  # a response of another frame size
+    with pytest.raises(DimensionMismatch):
+        build_round(default_stages()[0], [cur], ex)
 
 
 def test_l2s_recovers_small_objects(tmp_path):
@@ -330,6 +333,8 @@ def test_l2s_missing_small_transform_raises(tmp_path):
     with pytest.raises(FileNotFoundError) as err:
         build_round(default_stages()[1], [gt], ex_l, ex_s)
     assert str(ex_s.transform_path("000000")) in str(err.value)
+    with pytest.raises(ValueError, match="small-scale exchange"):
+        build_round(default_stages()[1], [gt], ex_l)
 
 
 def test_final_round_passes_through(tmp_path):
@@ -427,3 +432,19 @@ def test_pipeline_reruns_byte_identical(tmp_path):
     res_b = run_pipeline(l0, default_stages(), tmp_path / "b", detector=det)
     assert res_a == res_b
     assert _tree_bytes(tmp_path / "a") == _tree_bytes(tmp_path / "b")
+
+
+def test_numpy_settings_write_the_bytes_of_plain_ones(tmp_path):
+    # a numpy number passes the setting checks, so the manifest writer takes it too
+    l0, gt_by_frame = _pipeline_inputs(1)
+    det = _capture_detector(gt_by_frame)
+    m2m, l2s, final = default_stages()
+
+    def stages(i, f):
+        return [dataclasses.replace(m2m, epochs=i(3)),
+                dataclasses.replace(l2s, conf_threshold=(f(0.75), 0.8), scale=(1.0, f(0.25)), epochs=i(20)),
+                dataclasses.replace(final, scale=(f(0.5), 1.0))]
+
+    run_pipeline(l0, stages(int, float), tmp_path / "plain", detector=det)
+    run_pipeline(l0, stages(np.int64, np.float32), tmp_path / "numpy", detector=det)
+    assert _tree_bytes(tmp_path / "numpy") == _tree_bytes(tmp_path / "plain")

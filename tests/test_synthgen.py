@@ -50,6 +50,15 @@ def test_scene_spec_rejects_bad_ranges():
 
 # -- generate_scene -----------------------------------------------------------
 
+def test_numpy_counts_write_the_scene_of_plain_ones(tmp_path):
+    plain = generate_scene(SceneSpec(seed=7), 3)[3]
+    numpy = generate_scene(SceneSpec(seed=np.int64(7), height=np.int64(128), width=np.int64(192),
+                                     n_objects=(np.int64(3), np.int64(6))), np.int64(3))[3]
+    write_labels(tmp_path / "plain.json", plain)
+    write_labels(tmp_path / "numpy.json", numpy)
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
 def test_same_seed_is_byte_identical():
     spec = SceneSpec(seed=7, depth_sigma=0.05, motion_blur=2)
     d1, m1, k1, g1 = generate_scene(spec, 3)
