@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, check_real
 from .initlabel import InstanceLabel, LabelSet
-from .maskcore import PreparedMask, coverage, ious, overlaps
+from .maskcore import PreparedMask, coverage, decode, ious, overlaps
 
 __all__ = [
     "AggParams",
@@ -54,7 +54,8 @@ class _Prepared:
 def _prepare(labels: LabelSet, source: int) -> list[_Prepared]:
     """The non-empty instances in canonical (score desc, id, source) order."""
     # empty masks carry no evidence and would poison coverage fractions
-    prepared = (_Prepared(i, source, PreparedMask(i.mask)) for i in labels.instances)
+    masks = decode(i.mask for i in labels.instances)
+    prepared = (_Prepared(i, source, m) for i, m in zip(labels.instances, masks))
     return _canonical(p for p in prepared if p.mask.area)
 
 

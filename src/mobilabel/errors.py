@@ -149,10 +149,19 @@ def check_int(name: str, value, low: int):
 
 
 def check_real(name: str, value, low: float, high: float = math.inf, ends: str = "[]"):
-    """value, refused unless it is a real number (numpy's too), not a bool or NaN, in the
-    interval whose ends are written as in math: "(]" is (low, high]; "[)" with no high, finite."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+    """value, refused unless it is a real number (numpy's too) that a float can hold, not a
+    bool or NaN, in the interval whose ends are written as in math: "(]" is (low, high];
+    "[)" with no high, finite."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not _fits_float(value)
             or not (low < value if ends[0] == "(" else low <= value)  # also false for NaN
             or not (value < high if ends[1] == ")" else value <= high)):
         raise ValueError(f"{name} must be a number in {ends[0]}{low}, {high}{ends[1]}, got {value!r}")
     return value
+
+
+def _fits_float(value) -> bool:
+    try:
+        float(value)
+    except OverflowError:  # an int (or fraction) beyond the float range
+        return False
+    return True

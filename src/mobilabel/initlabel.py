@@ -121,7 +121,8 @@ class LabelSet:
 def binarize_motion(motion: np.ndarray, threshold: float) -> np.ndarray:
     """Foreground where motion probability >= threshold (inclusive). A uint8
     raster holds a motion file's levels L, each the probability L / 255,
-    and is cut at :func:`_level_cut`."""
+    and is cut at :func:`_level_cut`. threshold must lie in [0, 1]."""
+    check_real("threshold", threshold, 0, 1)
     motion = np.asarray(motion)
     if motion.ndim != 2:
         raise ValueError(f"motion mask must be 2D, got shape {motion.shape}")
@@ -134,8 +135,8 @@ def binarize_motion(motion: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def _level_cut(threshold) -> int:
-    """The smallest 8-bit level L with L / 255.0 >= threshold, or 256 when
-    there is none, so ``levels >= _level_cut(t)`` selects what
+    """The smallest 8-bit level L with L / 255.0 >= threshold (one exists for
+    a threshold in [0, 1]), so ``levels >= _level_cut(t)`` selects what
     ``levels / 255.0 >= t`` selects."""
     return 256 - int(np.count_nonzero(np.arange(256, dtype=np.float64) / 255.0 >= threshold))
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import secrets
 import struct
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,9 +57,16 @@ MAX_LABEL_PIXELS = 1 << 26
 
 def atomic_write_bytes(path, data: bytes) -> None:
     """Write via a sibling temp file and rename, so readers never see a
-    partial file."""
+    partial file. The file gets the mode ``open()`` would give it: 0o666
+    less the umask."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    while True:
+        tmp = path.with_name(f"{path.name}.{secrets.token_hex(4)}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+            break
+        except FileExistsError:  # another writer's temp file: draw another name
+            continue
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)
@@ -210,7 +217,7 @@ def _number(value, field) -> float:
         value = float(value)
     except OverflowError:
         raise SchemaViolation(field, "number beyond the float range") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise SchemaViolation(field, f"expected a finite number, got {value!r}")
     return value
 

@@ -2,17 +2,21 @@
 
 A binary mask is a 2D ``numpy`` array of ``bool`` with shape (height,
 width). Stored masks are :class:`Rle`, valid once built. :class:`PreparedMask`,
-a mask's tight-box bitmap, is the one codec both ways and owns a mask's box
-and area, so label producers work on crops, and every mask IoU and coverage
-is :func:`intersection`, :func:`iou` or :func:`coverage` over prepared masks,
-or, between two lists, the pairwise kernel :func:`overlaps` or :func:`ious`,
-which counts pixels only where boxes meet. :func:`rle_encode` and
-:func:`rle_decode` remain frame-array adapters over it.
+a mask's tight-box bitmap, owns a mask's box and area, so label producers
+work on crops. :func:`decode` is the one RLE decoder: it turns a list of
+masks into prepared masks in one pass over their counts, and
+``PreparedMask(rle)`` is its list of one; :meth:`PreparedMask.rle` encodes
+back. Every mask IoU and coverage is :func:`intersection`, :func:`iou` or
+:func:`coverage` over prepared masks, or, between two lists, the pairwise
+kernel :func:`overlaps` or :func:`ious`, which counts pixels only where
+boxes meet. :func:`rle_encode` and :func:`rle_decode` remain frame-array
+adapters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -24,6 +28,7 @@ __all__ = [
     "rle_encode",
     "rle_decode",
     "PreparedMask",
+    "decode",
     "intersection",
     "iou",
     "overlaps",
@@ -108,39 +113,18 @@ class PreparedMask:
 
     ``bits`` is the (rows, cols) bitmap of the box whose top-left pixel is
     (``row``, ``col``) in the frame, ``area`` its foreground count and
-    ``shape`` the frame size. An empty mask has a 0x0 bitmap. Built
-    straight from the runs, or by :meth:`from_bits` from a placed bitmap,
-    and encoded back by :meth:`rle`, so only a mask whose box spans the
-    whole frame allocates a frame-sized array.
+    ``shape`` the frame size. An empty mask has a 0x0 bitmap. Built from
+    the runs by :func:`decode` (``PreparedMask(rle)`` decodes a list of
+    one), or by :meth:`from_bits` from a placed bitmap, and encoded back by
+    :meth:`rle`, so only a mask whose box spans the whole frame allocates a
+    frame-sized array.
     """
 
     __slots__ = ("bits", "row", "col", "area", "shape")
 
     def __init__(self, rle: Rle):
-        h = rle.height
-        counts = np.asarray(rle.counts, dtype=np.int64)
-        ends = np.cumsum(counts)
-        fg = (np.arange(counts.size) % 2 == 1) & (counts > 0)
-        start, end = ends[fg] - counts[fg], ends[fg]  # column-major [start, end)
-        self.shape = (h, rle.width)
-        self.area = int(counts[1::2].sum())
-        if not self.area:
-            self.bits, self.row, self.col = np.zeros((0, 0), dtype=bool), 0, 0
-            return
-        # a run crossing a column edge covers the last row of one column and the
-        # first of the next, so the box takes every row; other runs lie in one column
-        first, last = start // h, (end - 1) // h
-        if (first != last).any():
-            self.row, rows = 0, h
-        else:
-            self.row = int((start % h).min())
-            rows = int(((end - 1) % h).max()) + 1 - self.row
-        self.col, cols = int(first[0]), int(last[-1] - first[0]) + 1
-        offset = (first - self.col) * rows + start % h - self.row
-        bounds = np.concatenate(([0], np.column_stack((offset, offset + end - start)).ravel(),
-                                 [rows * cols]))
-        values = np.arange(bounds.size - 1) % 2 == 1
-        self.bits = np.repeat(values, np.diff(bounds)).reshape((cols, rows)).T
+        m = next(decode([rle]))
+        self.bits, self.row, self.col, self.area, self.shape = m.bits, m.row, m.col, m.area, m.shape
 
     @classmethod
     def from_bits(cls, bits, row: int, col: int, shape: tuple[int, int]) -> "PreparedMask":
@@ -150,19 +134,23 @@ class PreparedMask:
         bits = np.asarray(bits, dtype=bool)
         if bits.ndim != 2:
             raise ValueError(f"bits must be a 2D array, got shape {bits.shape}")
-        self = cls.__new__(cls)
-        self.shape = (int(shape[0]), int(shape[1]))
+        shape = (int(shape[0]), int(shape[1]))
         rows, cols = np.flatnonzero(bits.any(axis=1)), np.flatnonzero(bits.any(axis=0))
         if not rows.size:
-            self.bits, self.row, self.col, self.area = np.zeros((0, 0), dtype=bool), 0, 0, 0
-            return self
-        self.bits = bits[rows[0]: rows[-1] + 1, cols[0]: cols[-1] + 1]
-        self.row, self.col = int(row) + int(rows[0]), int(col) + int(cols[0])
-        self.area = int(np.count_nonzero(self.bits))
-        r1, c1 = self.row + self.bits.shape[0], self.col + self.bits.shape[1]
-        if min(self.row, self.col) < 0 or r1 > self.shape[0] or c1 > self.shape[1]:
+            return cls._placed(np.zeros((0, 0), dtype=bool), 0, 0, 0, shape)
+        bits = bits[rows[0]: rows[-1] + 1, cols[0]: cols[-1] + 1]
+        self = cls._placed(bits, int(row) + int(rows[0]), int(col) + int(cols[0]),
+                           int(np.count_nonzero(bits)), shape)
+        r1, c1 = self.row + bits.shape[0], self.col + bits.shape[1]
+        if min(self.row, self.col) < 0 or r1 > shape[0] or c1 > shape[1]:
             raise ValueError(f"foreground [{self.row}:{r1}, {self.col}:{c1}] lies outside "
-                             f"the {self.shape} frame")
+                             f"the {shape} frame")
+        return self
+
+    @classmethod
+    def _placed(cls, bits, row: int, col: int, area: int, shape) -> "PreparedMask":
+        self = cls.__new__(cls)
+        self.bits, self.row, self.col, self.area, self.shape = bits, row, col, area, shape
         return self
 
     def rle(self) -> Rle:
@@ -190,6 +178,89 @@ class PreparedMask:
         out = np.zeros(self.shape, dtype=bool)
         out[self.row: self.row + self.bits.shape[0], self.col: self.col + self.bits.shape[1]] = self.bits
         return out
+
+
+def decode(rles):
+    """The :class:`PreparedMask` of each :class:`Rle`, in order, as an iterator.
+
+    Masks are decoded in batches of consecutive masks. One pass of array
+    operations over a batch's concatenated counts finds every mask's
+    foreground runs, box and area; then each fill, the boxes of consecutive
+    masks up to one frame of pixels, is laid down by one ``np.repeat`` when
+    the iterator reaches it, and each ``bits`` is a view of its fill. A
+    batch holds at most ``max(h * w, 65536) // 64`` counts (or one mask), so
+    its arrays take about a frame's bytes, and a caller that keeps each mask
+    only while it works on it holds about one frame, however long the list.
+    Raises :class:`~mobilabel.errors.DimensionMismatch` at the call when
+    the frame sizes differ.
+    """
+    rles = list(rles)
+    if len(shapes := {(r.height, r.width) for r in rles}) > 1:
+        raise DimensionMismatch(f"mask shapes differ: {sorted(shapes)}")
+    return _lay(rles, *shapes.pop()) if rles else iter(())
+
+
+def _groups(sizes, limit: int):
+    """Consecutive sizes cut greedily into groups that sum to at most limit
+    (a larger size alone): the group bounds [0, ..., len(sizes)] and each
+    size's offset in its group."""
+    starts, offsets, used = [], [], 0
+    for s in sizes:
+        if not offsets or used + s > limit:
+            starts.append(len(offsets))
+            used = 0
+        offsets.append(used)
+        used += s
+    return [*starts, len(offsets)], offsets
+
+
+def _lay(rles, h: int, w: int):
+    """decode's iterator: plans a batch, then lays each fill as it is reached."""
+    cuts, _ = _groups([len(r.counts) for r in rles], max(h * w, 1 << 16) // 64)
+    for a, b in zip(cuts, cuts[1:]):
+        for lengths, boxes in _plan(rles[a:b], h, w):
+            buf = np.repeat(np.arange(lengths.size) % 2 == 1, lengths)
+            for row, col, rows, cols, area, at in boxes:
+                bits = buf[at: at + rows * cols].reshape(cols, rows).T if area else np.zeros((0, 0), dtype=bool)
+                yield PreparedMask._placed(bits, row, col, area, (h, w))
+
+
+def _plan(rles, h: int, w: int):
+    """One batch of decode as its fills: each is the run lengths, zeros
+    first, that one repeat lays down, and the (row, col, rows, cols, area,
+    offset in the fill) of each of its masks, all 0 for an empty mask. Its
+    count-sized arrays are freed when it returns, before any fill is laid."""
+    lens = np.array([len(r.counts) for r in rles], dtype=np.int64)
+    counts = np.fromiter(chain.from_iterable(r.counts for r in rles), dtype=np.int64, count=int(lens.sum()))
+    owner = np.repeat(np.arange(len(rles)), lens)
+    # each mask's counts sum to h * w, so one cumsum gives every run's end within its mask
+    ends = np.cumsum(counts) - owner * (h * w)
+    fg = ((np.arange(counts.size) - (np.cumsum(lens) - lens)[owner]) % 2 == 1) & (counts > 0)
+    start, end = ends[fg] - counts[fg], ends[fg]  # column-major [start, end)
+    runs = np.bincount(owner[fg], minlength=len(rles))
+    first = np.cumsum(runs) - runs  # each mask's first run
+    full = runs > 0
+    at = first[full]
+    c0, r0 = np.divmod(start, h)
+    c1, r1 = np.divmod(end - 1, h)
+    # a run crossing a column edge covers the last row of one column and the
+    # first of the next, so the box takes every row; other runs lie in one column
+    crosses = np.logical_or.reduceat(c0 != c1, at)
+    row = np.where(crosses, 0, np.minimum.reduceat(r0, at))
+    box = np.zeros((5, len(rles)), dtype=np.int64)  # row, col, rows, cols, area
+    box[:, full] = (row, c0[at], np.where(crosses, h, np.maximum.reduceat(r1, at) + 1 - row),
+                    c1[at + runs[full] - 1] - c0[at] + 1, np.add.reduceat(end - start, at))
+    row, col, rows, cols, _ = box
+    size = (rows * cols).tolist()
+    cuts, offset = _groups(size, h * w)
+    # a run's box is laid out column by column from its mask's offset in the fill
+    k = np.repeat(np.arange(len(rles)), runs)
+    lo = (c0 - col[k]) * rows[k] + r0 - row[k] + np.array(offset, dtype=np.int64)[k]
+    edges = np.column_stack((lo, lo + end - start)).ravel()
+    bounds = 2 * np.append(first, start.size)
+    boxes = list(zip(*box.tolist(), offset))
+    return [(np.diff(np.concatenate(([0], edges[bounds[a]: bounds[b]], [offset[b - 1] + size[b - 1]]))),
+             boxes[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 def _window(a: PreparedMask, b: PreparedMask):

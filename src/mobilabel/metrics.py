@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, FrameMismatch, MissingAttribute, check_int, check_real
 from .initlabel import LabelSet
-from .maskcore import PreparedMask, box_iou, ious
+from .maskcore import box_iou, decode, ious
 
 __all__ = [
     "EvalConfig",
@@ -95,7 +95,7 @@ def size_bucket(area: float) -> str:
 
 def _iou_matrix(preds, gts, mode: str) -> np.ndarray:
     if mode == "mask":
-        return ious([PreparedMask(p.mask) for p in preds], [PreparedMask(g.mask) for g in gts])
+        return ious(list(decode(p.mask for p in preds)), list(decode(g.mask for g in gts)))
     return np.array([[box_iou(p.box, g.box) for g in gts] for p in preds]).reshape(len(preds), len(gts))
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InstanceInPadding, check_int, check_real
 from .initlabel import LabelSet
-from .maskcore import BBox, PreparedMask
+from .maskcore import BBox, PreparedMask, decode
 
 __all__ = [
     "ScaleTransform",
@@ -115,8 +115,7 @@ def transform_labels(labels: LabelSet, t: ScaleTransform) -> LabelSet:
         return LabelSet(labels.frame_id, labels.height, labels.width, list(labels.instances))
     rows, cols = _nn_rows_cols(t)
     out = []
-    for inst in labels.instances:
-        fg = PreparedMask(inst.mask)
+    for inst, fg in zip(labels.instances, decode(i.mask for i in labels.instances)):
         # the content pixels sampling the box form one span: sources never decrease
         r0, r1 = np.searchsorted(rows, (fg.row, fg.row + fg.bits.shape[0]))
         c0, c1 = np.searchsorted(cols, (fg.col, fg.col + fg.bits.shape[1]))
@@ -167,8 +166,7 @@ def invert_labels(labels: LabelSet, t: ScaleTransform) -> LabelSet:
         return LabelSet(labels.frame_id, labels.height, labels.width, list(labels.instances))
     content_h, content_w = t.content_height, t.content_width
     out = []
-    for inst in labels.instances:
-        fg = PreparedMask(inst.mask)
+    for inst, fg in zip(labels.instances, decode(i.mask for i in labels.instances)):
         if not fg.area:
             continue
         in_h, in_w = fg.bits.shape

@@ -46,7 +46,7 @@ from .errors import (
 )
 from .initlabel import LabelSet, make_initial_labels
 from .io import _dump_json, _load_json, _want, read_frame_labels, read_transform, write_labels, write_transform
-from .maskcore import PreparedMask, ious
+from .maskcore import decode, ious
 from .rescale import ScaleTransform, check_scale, make_transform, invert_labels
 
 __all__ = [
@@ -192,8 +192,8 @@ def gt_overlap_filter(predictions: LabelSet, gt: LabelSet,
         raise DimensionMismatch(
             f"predictions {predictions.height}x{predictions.width} vs "
             f"ground truth {gt.height}x{gt.width}")
-    pair_iou = ious([PreparedMask(p.mask) for p in predictions.instances],
-                    [PreparedMask(g.mask) for g in gt.instances])
+    pair_iou = ious(list(decode(p.mask for p in predictions.instances)),
+                    list(decode(g.mask for g in gt.instances)))
     kept = [inst for inst, row in zip(predictions.instances, pair_iou) if (row >= min_iou).any()]
     return LabelSet(predictions.frame_id, predictions.height, predictions.width, kept)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import PlacementFailure, check_int, check_real
 from .initlabel import CameraIntrinsics, InstanceLabel, LabelSet
-from .maskcore import PreparedMask
+from .maskcore import PreparedMask, decode
 
 __all__ = [
     "DetectorNoise",
@@ -247,10 +247,9 @@ def mock_detector(gt: LabelSet, noise: DetectorNoise, rng: np.random.Generator,
     if not (1 <= rh <= gt.height and 1 <= rw <= gt.width):
         raise ValueError(f"region {region} exceeds the {gt.height}x{gt.width} canvas")
     out = []
-    for inst in gt.instances:
+    for inst, mask in zip(gt.instances, decode(i.mask for i in gt.instances)):
         if rng.random() < noise.dropout:
             continue
-        mask = PreparedMask(inst.mask)
         if noise.mask_jitter > 0:
             dy, dx = rng.integers(-noise.mask_jitter, noise.mask_jitter + 1, size=2)
             r, c = mask.row + int(dy), mask.col + int(dx)

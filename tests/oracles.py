@@ -42,6 +42,33 @@ def rle_expand_ref(h, w, counts):
     return np.array(scan, dtype=bool).reshape(w, h).T
 
 
+def prepared_ref(h, w, counts):
+    """The per-mask tight-box decoder the package used before its batch
+    decoder, kept as that decoder's parity reference: (bits, row, col,
+    area, shape), with a 0x0 bitmap at (0, 0) for an empty mask. Unlike
+    the rest of this module it is vectorized, one mask at a time."""
+    counts = np.asarray(counts, dtype=np.int64)
+    ends = np.cumsum(counts)
+    fg = (np.arange(counts.size) % 2 == 1) & (counts > 0)
+    start, end = ends[fg] - counts[fg], ends[fg]  # column-major [start, end)
+    area = int(counts[1::2].sum())
+    if not area:
+        return np.zeros((0, 0), dtype=bool), 0, 0, 0, (h, w)
+    # a run crossing a column edge covers the last row of one column and the
+    # first of the next, so the box takes every row; other runs lie in one column
+    first, last = start // h, (end - 1) // h
+    if (first != last).any():
+        row, rows = 0, h
+    else:
+        row = int((start % h).min())
+        rows = int(((end - 1) % h).max()) + 1 - row
+    col, cols = int(first[0]), int(last[-1] - first[0]) + 1
+    offset = (first - col) * rows + start % h - row
+    bounds = np.concatenate(([0], np.column_stack((offset, offset + end - start)).ravel(), [rows * cols]))
+    values = np.arange(bounds.size - 1) % 2 == 1
+    return np.repeat(values, np.diff(bounds)).reshape((cols, rows)).T, row, col, area, (h, w)
+
+
 def iou_ref(a, b):
     inter = 0
     union = 0

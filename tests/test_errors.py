@@ -85,6 +85,9 @@ def _setting_cases():
         "SceneSpec(height=64.5)": lambda: SceneSpec(height=64.5),
         "SceneSpec(depth_range=(1.0, inf))": lambda: SceneSpec(depth_range=(1.0, math.inf)),
         "SceneSpec(depth_sigma=nan)": lambda: SceneSpec(depth_sigma=math.nan),
+        # ints past the float range, which generate_scene met as an OverflowError
+        "SceneSpec(depth_range=(1, 10**400))": lambda: SceneSpec(depth_range=(1, 10**400)),
+        "SceneSpec(depth_sigma=10**400)": lambda: SceneSpec(depth_sigma=10**400),
         "generate_scene(frame_index=1.5)": lambda: generate_scene(SceneSpec(), 1.5),
         "make_transform(8.5, 8, 0.5)": lambda: make_transform(8.5, 8, 0.5),
         "large2small scale 5e-324": lambda: dataclasses.replace(default_stages()[1],

@@ -21,6 +21,7 @@ from mobilabel.initlabel import (
 )
 from mobilabel.io import read_motion, write_motion
 from mobilabel.maskcore import PreparedMask, rle_decode, rle_encode
+from mobilabel.synthgen import SceneSpec, generate_scene
 
 from oracles import dbscan_ref
 
@@ -56,8 +57,9 @@ def test_binarize_rejects_bad_probabilities():
 
 
 _CUTS = np.arange(256) / 255.0
-# every level's probability, the floats either side of it, and no cut at all
-_THRESHOLDS = [0.0, 1.0, np.nan, *_CUTS, *np.nextafter(_CUTS, -np.inf), *np.nextafter(_CUTS, np.inf)]
+# every level's probability and the floats either side of it, within [0, 1]
+_THRESHOLDS = [t for t in (*_CUTS, *np.nextafter(_CUTS, -np.inf), *np.nextafter(_CUTS, np.inf))
+               if 0 <= t <= 1]
 
 
 def test_level_cut_selects_what_binarize_motion_selects(tmp_path):
@@ -74,6 +76,18 @@ def test_binarize_motion_cuts_levels_as_their_probabilities():
     levels = np.arange(256, dtype=np.uint8).reshape(16, 16)
     for t in _THRESHOLDS:
         assert np.array_equal(binarize_motion(levels, t), binarize_motion(levels / 255.0, t)), t
+
+
+@pytest.mark.parametrize("threshold", [np.nan, True, -0.1, np.nextafter(1.0, 2.0), "0.1", None])
+def test_a_motion_threshold_outside_the_unit_interval_is_refused(threshold):
+    # NaN once cut nothing, so a frame with moving objects gave no instances
+    depth, motion, k, _ = generate_scene(SceneSpec(seed=1), 0)
+    assert len(make_initial_labels(depth, motion, k, DbscanParams(), motion_threshold=0.1).instances) == 2
+    with pytest.raises(ValueError, match="threshold"):
+        make_initial_labels(depth, motion, k, DbscanParams(), motion_threshold=threshold)
+    for m in (motion, np.round(motion * 255).astype(np.uint8)):
+        with pytest.raises(ValueError, match="threshold"):
+            binarize_motion(m, threshold)
 
 
 # -- unproject ---------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import struct
 import tracemalloc
 
@@ -22,6 +24,7 @@ from mobilabel.errors import (
 )
 from mobilabel.initlabel import CameraIntrinsics, InstanceLabel, LabelSet
 from mobilabel.io import (
+    atomic_write_bytes,
     DatasetLayout,
     read_depth,
     read_frame_labels,
@@ -599,6 +602,20 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     p = tmp_path / "x.json"
     write_intrinsics(p, CameraIntrinsics(1, 1, 0, 0))
     assert [f.name for f in tmp_path.iterdir()] == ["x.json"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_atomic_write_gives_the_mode_open_gives(tmp_path, umask):
+    # a detector running as another user must be able to read its requests
+    old = os.umask(umask)
+    try:
+        atomic_write_bytes(tmp_path / "atomic", b"x")
+        with open(tmp_path / "plain", "wb") as f:
+            f.write(b"x")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "atomic").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "plain").stat().st_mode) == 0o666 & ~umask
 
 
 # -- a small fuzz smoke test (the big one lives in the acceptance suite) -------

@@ -18,6 +18,7 @@ from mobilabel.maskcore import (
     Rle,
     box_iou,
     coverage,
+    decode,
     intersection,
     iou,
     ious,
@@ -28,7 +29,7 @@ from mobilabel.maskcore import (
 from mobilabel.metrics import EvalConfig, evaluate
 from mobilabel.rounds import gt_overlap_filter
 
-from oracles import components_ref, coverage_ref, iou_ref, rle_counts_ref, rle_expand_ref
+from oracles import components_ref, coverage_ref, iou_ref, prepared_ref, rle_counts_ref, rle_expand_ref
 
 masks = arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12)))
 
@@ -462,6 +463,74 @@ def test_decoder_matches_run_expansion_on_loose_counts(case, tmp_path):
 @settings(max_examples=300)
 def test_decoder_matches_run_expansion_on_random_counts(case):
     _check_decodes(*case)
+
+
+# -- decode: a list of masks in one pass ----------------------------------
+
+def _fill_of(bits):
+    while bits.base is not None:
+        bits = bits.base
+    return bits
+
+
+def _check_batch(rles):
+    """decode equals the per-mask reference on every field, and no fill
+    holds more than one frame of pixels."""
+    got = list(decode(rles))
+    assert len(got) == len(rles)
+    for m, rle in zip(got, rles):
+        bits, row, col, area, shape = prepared_ref(rle.height, rle.width, rle.counts)
+        assert (m.row, m.col, m.area, m.shape) == (row, col, area, shape)
+        assert all(type(v) is int for v in (m.row, m.col, m.area))
+        assert (m.bits.dtype, m.bits.shape, m.bits.strides) == (bits.dtype, bits.shape, bits.strides)
+        assert np.array_equal(m.bits, bits)
+        assert _fill_of(m.bits).size <= rle.height * rle.width
+
+
+def _odd_counts(h, w):
+    """Runs the encoder never writes: none at all but zeros, a leading 0 over
+    the whole frame, and two foreground runs split by a zero-length zero-run."""
+    n = h * w
+    return [[n], [0, n], [0, 1, 0, n - 1], [n - 1, 0, 0, 1]]
+
+
+def _rle_lists(hw):
+    h, w = hw
+    kinds = [rle_encode(m).counts for m in _edge_masks(h, w)] + _odd_counts(h, w)
+    one = st.one_of(_loose_counts(hw).map(lambda case: case[2]), st.sampled_from(kinds))
+    return st.lists(one, max_size=8).map(lambda counts: [Rle(h, w, c) for c in counts])
+
+
+@given(small_frames.flatmap(_rle_lists))
+@example([])
+@example([Rle(1, 1, (1,)), Rle(1, 1, (0, 1)), Rle(1, 1, (0, 1, 0))])  # 1x1 frames
+@example([Rle(3, 4, (2, 7, 3)), Rle(3, 4, (12,)), Rle(3, 4, (0, 1, 10, 1))])  # runs over column edges
+@settings(max_examples=300)
+def test_decode_equals_the_per_mask_decoder(rles):
+    _check_batch(rles)
+
+
+def test_decode_shares_fills_and_splits_long_lists():
+    # small boxes share one fill
+    pixels = [rle_encode(mask_from_pixels(64, 64, [(r, 63 - r)])) for r in range(64)]
+    got = list(decode(pixels))
+    assert all(_fill_of(m.bits) is _fill_of(got[0].bits) for m in got)
+    _check_batch(pixels)
+    # many more counts than one batch holds (1024 on frames up to 256x256),
+    # dense masks over a batch alone, and boxes of up to the whole frame
+    rng = np.random.default_rng(7)
+    rles = [rle_encode(rng.random((64, 64)) < 0.5) for _ in range(3)]
+    rles += [Rle(64, 64, np.diff([0, *sorted(rng.integers(0, 64 * 64, 63)), 64 * 64]))
+             for _ in range(300)]
+    assert sum(len(r.counts) for r in rles) > 10 * 1024
+    _check_batch(pixels + rles + pixels)
+
+
+def test_decode_refuses_a_mix_of_frame_sizes_when_called():
+    with pytest.raises(DimensionMismatch, match="shapes differ"):
+        decode([Rle(2, 3, (6,)), Rle(3, 2, (6,))])  # not only once iterated
+    assert list(decode([])) == []
+    assert list(decode(iter([Rle(2, 3, (6,))])))[0].area == 0
 
 
 # -- components --------------------------------------------------------

@@ -241,6 +241,26 @@ def test_invert_memory_is_bounded_by_the_frame(side):
     assert PreparedMask(back.mask).area == 64  # the whole frame, sampled from one pixel
 
 
+@pytest.mark.parametrize("op", [invert_labels, transform_labels])
+def test_a_long_label_set_peaks_near_one_frame(op):
+    # 200 instances whose boxes are the content region (inverting) or the
+    # whole frame (shrinking): all their bitmaps at once would take 50 or
+    # 200 frames; scaling one mask alone takes a few
+    h, w = 400, 600
+    t = make_transform(h, w, 0.5)
+    rows, cols = (t.content_height, t.content_width) if op is invert_labels else (h, w)
+    one = rect_label(h, w, 0, 0, rows, cols)
+    labels = LabelSet("f", h, w, [InstanceLabel(one.mask, one.box, 1.0, i) for i in range(200)])
+    tracemalloc.start()
+    try:
+        out = op(labels, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out.instances) == 200
+    assert peak < 10 * h * w, f"{peak / (h * w):.1f} frames"
+
+
 def test_invert_box_beyond_float_range():
     t = make_transform(8, 8, 0.25)
     # a far edge at infinity is clipped to the frame like any overhang
